@@ -6,16 +6,30 @@ default; float64 exists for gradient checking. Convolution uses
 cross-correlation semantics (no kernel flip) with zero padding.
 
 The three convolution kernels (forward, transposed/adjoint, weight
-gradient) dispatch to torch.nn.functional through zero-copy bridges when
-torch is importable, because the pure-numpy path is an order of magnitude
-slower on CPU. Semantics of both backends are identical and are pinned by
-the adjoint and direct-loop oracle tests. Select explicitly with
-REVNET_CONV_BACKEND={auto,torch,native}.
+gradient) are matrix products over unrolled patches (im2col). A
+sliding-window view of the padded input is copied, one chunk of the batch
+at a time, into a column buffer of at most _COL_BYTES bytes (or one
+sample's columns, where those are larger):
+  - forward: kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'], written
+    straight into the [B, C_out, H'*W'] output;
+  - weight gradient: upstream[C_out, n*H'*W'] @ cols[C_in*k*k, n*H'*W']^T,
+    the batch on the inner dimension, summed over the chunks;
+  - transposed: kernel^T @ y gives the columns, and col2im scatters them
+    back with one strided add per kernel offset (any stride). At stride 1
+    with 2*C_in >= C_out it is instead the forward kernel run with the
+    flipped, channel-swapped kernel and padding k-1-pad, which moves less
+    memory.
+When torch is importable the kernels dispatch to torch.nn.functional
+through zero-copy bridges instead. Semantics of both backends are
+identical and are pinned by the adjoint and direct-loop oracle tests.
+Select explicitly with REVNET_CONV_BACKEND={auto,torch,native}.
 """
 
+import ctypes
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -30,7 +44,12 @@ except ImportError:  # torch is an optional accelerator, never required
 SINGLE = np.float32
 DOUBLE = np.float64
 
-_DETERMINISTIC = False
+# Cap on the im2col column buffer of one batch chunk. An unchunked buffer
+# for a 32-channel 5x5 conv on 32x32 maps is about 100 MB at batch 32. On
+# a 2-CPU x86-64 VM with 2 MB of L2 per core, caps of 1-4 MB ran every
+# layer shape of the small and baseline nets fastest; 8 and 16 MB were up
+# to 1.5x slower on the 32-64 channel layers.
+_COL_BYTES = 2 << 20
 
 
 def set_determinism(flag):
@@ -39,19 +58,47 @@ def set_determinism(flag):
     CPU kernels in both backends are already deterministic for a fixed
     thread count; this freezes the torch thread count for the process.
     """
-    global _DETERMINISTIC
-    _DETERMINISTIC = bool(flag)
     if flag and _HAVE_TORCH:
         torch.set_num_threads(torch.get_num_threads())
 
 
-def determinism_enabled():
-    return _DETERMINISTIC
+def _openblas():
+    """(set_num_threads, get_num_threads) of the OpenBLAS numpy has loaded,
+    or None where it cannot be found through the process's own maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if setter and getter:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return setter, getter
+    return None
+
+
+def blas_threads():
+    """Threads the loaded OpenBLAS uses now, or None if it cannot be read."""
+    api = _openblas()
+    return None if api is None else int(api[1]())
 
 
 def set_threads(n=None):
     """Cap internal parallelism. n=None reads REVNET_THREADS; unset or
-    invalid leaves the current limits alone. Returns the cap or None."""
+    invalid leaves the current limits alone. Returns the cap or None.
+
+    OpenBLAS reads its environment only when it loads, so the cap goes
+    through the loaded library's own API; the environment variables are
+    set as well, for a BLAS found no other way and for child processes."""
     if n is None:
         raw = os.environ.get("REVNET_THREADS", "")
         if not raw.strip().isdigit():
@@ -60,6 +107,9 @@ def set_threads(n=None):
     n = max(1, int(n))
     os.environ["OMP_NUM_THREADS"] = str(n)
     os.environ["OPENBLAS_NUM_THREADS"] = str(n)
+    api = _openblas()
+    if api is not None:
+        api[0](n)
     if _HAVE_TORCH:
         torch.set_num_threads(n)
     return n
@@ -89,57 +139,8 @@ def matmul(a, b):
     return a @ b
 
 
-def _check_same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(a, b):
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-    return a - b
-
-
-def mul(a, b):
-    _check_same_shape(a, b, "mul")
-    return a * b
-
-
-def scale(a, s):
-    return a * a.dtype.type(s)
-
-
-def transpose(a):
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects rank-2, got {a.shape}")
-    return a.T
-
-
-def reshape(a, shape):
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} ({a.size} elems) to {shape}")
-    return a.reshape(shape)
-
-
-def flatten(a):
-    """Collapse everything after the leading (batch) axis."""
-    return a.reshape(a.shape[0], -1)
-
-
-def reduce_sum(a, axis=None):
-    return a.sum(axis=axis)
-
-
 def argmax_last(a):
     return np.argmax(a, axis=-1)
-
-
-def uniform_fill(shape, rng, low=0.0, high=1.0, dtype=SINGLE):
-    return rng.uniform(low, high, size=shape).astype(dtype)
 
 
 def gaussian_fill(shape, rng, mean=0.0, std=1.0, dtype=SINGLE):
@@ -220,32 +221,63 @@ def _t(a):
     return torch.from_numpy(np.ascontiguousarray(a))
 
 
+def _windows(x, kh, kw, stride, pad):
+    """[B,C,H,W] -> [B,C,kH,kW,H',W'] view of the zero-padded input."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _chunks(b, sample_bytes):
+    """(start, stop) batch slices whose column buffers fit _COL_BYTES, and
+    the largest slice length."""
+    n = max(1, min(b, _COL_BYTES // max(1, sample_bytes)))
+    return [(b0, min(b, b0 + n)) for b0 in range(0, b, n)], n
+
+
 def _conv2d_native(x, kernel, stride, pad):
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((b, co, ho, wo), dtype=x.dtype)
-    # accumulate one kernel offset at a time; each term is a [C_in -> C_out] mix
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
-            out += np.einsum("bchw,oc->bohw", patch, kernel[:, :, i, j], optimize=True)
-    return out
+    rows = ci * kh * kw
+    kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
+    win = _windows(x, kh, kw, stride, pad)
+    out = np.empty((b, co, ho * wo), dtype=x.dtype)
+    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
+    buf = np.empty((n, rows, ho * wo), dtype=x.dtype)
+    for b0, b1 in chunks:
+        cols = buf[: b1 - b0]
+        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), win[b0:b1])
+        np.matmul(kmat, cols, out=out[b0:b1])
+    return out.reshape(b, co, ho, wo)
 
 
 def _conv2d_transposed_native(y, kernel, stride, pad):
     b, co, ho, wo = y.shape
     _, ci, kh, kw = kernel.shape
+    if stride == 1 and 2 * ci >= co and kh == kw and pad <= kh - 1:
+        # a stride-1 transposed conv is the forward conv with the flipped,
+        # channel-swapped kernel and the complementary padding. Its im2col
+        # moves about 2*C_out*k*k words per output pixel, col2im about
+        # 4*C_in*k*k, so it wins unless C_in is small next to C_out.
+        return _conv2d_native(y, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
     h = (ho - 1) * stride + kh - 2 * pad
     w = (wo - 1) * stride + kw - 2 * pad
+    rows = ci * kh * kw
+    kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
+    yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
     xp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride] += np.einsum(
-                "bohw,oc->bchw", y, kernel[:, :, i, j], optimize=True
-            )
+    chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
+    buf = np.empty((n, rows, ho * wo), dtype=y.dtype)
+    for b0, b1 in chunks:
+        cols = np.matmul(kmat_t, yf[b0:b1], out=buf[: b1 - b0]).reshape(b1 - b0, ci, kh, kw, ho, wo)
+        dst = xp[b0:b1]
+        # col2im: each kernel offset's column block lands on a strided window
+        for i in range(kh):
+            rs = slice(i, i + (ho - 1) * stride + 1, stride)
+            for j in range(kw):
+                dst[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
     return xp[:, :, pad : pad + h, pad : pad + w]
 
 
@@ -253,11 +285,16 @@ def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel_shape
     ho, wo = upstream.shape[2:]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    grad = np.zeros(kernel_shape, dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
-            grad[:, :, i, j] = np.einsum("bohw,bchw->oc", upstream, patch, optimize=True)
-    return grad
+    rows = ci * kh * kw
+    win = _windows(x, kh, kw, stride, pad)
+    grad = np.zeros((co, rows), dtype=x.dtype)
+    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
+    buf = np.empty(n * rows * ho * wo, dtype=x.dtype)
+    for b0, b1 in chunks:
+        m = b1 - b0
+        # batch on the GEMM's inner dimension: cols[C_in*k*k, m*H'*W']
+        cols = buf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
+        np.copyto(cols, win[b0:b1].transpose(1, 2, 3, 0, 4, 5))
+        u = upstream[b0:b1].transpose(1, 0, 2, 3).reshape(co, m * ho * wo).astype(x.dtype, copy=False)
+        grad += u @ cols.reshape(rows, m * ho * wo).T
+    return grad.reshape(kernel_shape)

@@ -1,5 +1,7 @@
 """Array-primitive checks against independent direct-loop oracles."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,46 @@ def conv2d_loops(x, w, stride, pad):
     return out
 
 
+def conv2d_transposed_loops(y, w, stride, pad):
+    """Scatter form: each y[n, o, i, j] adds w[o, c, u, v] times itself at
+    input pixel (i*stride + u - pad, j*stride + v - pad)."""
+    b, co, ho, wo = y.shape
+    _, ci, kh, kw = w.shape
+    h = (ho - 1) * stride + kh - 2 * pad
+    wd = (wo - 1) * stride + kw - 2 * pad
+    out = np.zeros((b, ci, h, wd), dtype=y.dtype)
+    for n in range(b):
+        for o in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    for c in range(ci):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, q = i * stride + u - pad, j * stride + v - pad
+                                if 0 <= r < h and 0 <= q < wd:
+                                    out[n, c, r, q] += y[n, o, i, j] * w[o, c, u, v]
+    return out
+
+
+def conv2d_weight_grad_loops(x, g, kernel_shape, stride, pad):
+    b, ci, h, wd = x.shape
+    co, _, kh, kw = kernel_shape
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros(kernel_shape, dtype=x.dtype)
+    for o in range(co):
+        for c in range(ci):
+            for u in range(kh):
+                for v in range(kw):
+                    s = 0.0
+                    for n in range(b):
+                        for i in range(ho):
+                            for j in range(wo):
+                                s += g[n, o, i, j] * xp[n, c, i * stride + u, j * stride + v]
+                    out[o, c, u, v] = s
+    return out
+
+
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -55,9 +97,13 @@ def test_matmul_rejects_bad_ranks():
         tensor.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
-@pytest.mark.parametrize("stride,pad,h,w,k", [
-    (1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5),
-])
+GEOMETRIES = [(1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5)]
+# 2*C_in >= C_out takes the stride-1 transposed conv through the flipped
+# forward kernel, 1 -> 4 channels through col2im
+CHANNELS = [(3, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
 def test_conv2d_matches_direct_loops(stride, pad, h, w, k):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, h, w))
@@ -66,6 +112,92 @@ def test_conv2d_matches_direct_loops(stride, pad, h, w, k):
     want = conv2d_loops(x, wts, stride, pad)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("ci,co", CHANNELS)
+@pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES + [(1, 1, 6, 6, 1)])
+def test_conv2d_transposed_matches_direct_loops(stride, pad, h, w, k, ci, co):
+    rng = np.random.default_rng(8)
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    y = rng.standard_normal((2, co, ho, wo))
+    wts = rng.standard_normal((co, ci, k, k))
+    got = tensor.conv2d_transposed(y, wts, stride, pad)
+    want = conv2d_transposed_loops(y, wts, stride, pad)
+    assert got.shape == want.shape == (2, ci, h, w)
+    assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("ci,co", CHANNELS)
+@pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
+def test_conv2d_weight_grad_matches_direct_loops(stride, pad, h, w, k, ci, co):
+    rng = np.random.default_rng(9)
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    x = rng.standard_normal((2, ci, h, w))
+    g = rng.standard_normal((2, co, ho, wo))
+    got = tensor.conv2d_weight_grad(x, g, (co, ci, k, k), stride, pad)
+    want = conv2d_weight_grad_loops(x, g, (co, ci, k, k), stride, pad)
+    assert got.shape == (co, ci, k, k)
+    assert np.allclose(got, want, atol=1e-10)
+
+
+def test_rectangular_kernel_matches_direct_loops():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 2, 7, 8))
+    wts = rng.standard_normal((3, 2, 3, 5))
+    y = tensor.conv2d(x, wts, 1, 2)
+    g = rng.standard_normal(y.shape)
+    assert np.allclose(y, conv2d_loops(x, wts, 1, 2), atol=1e-10)
+    assert np.allclose(tensor.conv2d_transposed(g, wts, 1, 2),
+                       conv2d_transposed_loops(g, wts, 1, 2), atol=1e-10)
+    assert np.allclose(tensor.conv2d_weight_grad(x, g, wts.shape, 1, 2),
+                       conv2d_weight_grad_loops(x, g, wts.shape, 1, 2), atol=1e-10)
+
+
+@pytest.mark.parametrize("ci,co,h,stride,cap", [(3, 4, 6, 1, 25000), (1, 4, 7, 2, 2500)])
+def test_batch_chunks_split_unevenly(monkeypatch, ci, co, h, stride, cap):
+    # a batch of 5 under a column cap of 2-3 samples: the last chunk is short
+    k, pad = 3, 1
+    ho = (h + 2 * pad - k) // stride + 1
+    assert 1 < cap // (ci * k * k * ho * ho * 8) < 5
+    monkeypatch.setattr(tensor, "_COL_BYTES", cap)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((5, ci, h, h))
+    wts = rng.standard_normal((co, ci, k, k))
+    g = rng.standard_normal((5, co, ho, ho))
+    assert np.allclose(tensor.conv2d(x, wts, stride, pad), conv2d_loops(x, wts, stride, pad), atol=1e-10)
+    assert np.allclose(tensor.conv2d_transposed(g, wts, stride, pad),
+                       conv2d_transposed_loops(g, wts, stride, pad), atol=1e-10)
+    assert np.allclose(tensor.conv2d_weight_grad(x, g, wts.shape, stride, pad),
+                       conv2d_weight_grad_loops(x, g, wts.shape, stride, pad), atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,stride", [(3, 4, 1), (1, 4, 1), (3, 4, 2)])
+def test_conv_kernels_keep_dtype(dtype, ci, co, stride):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, ci, 7, 7)).astype(dtype)
+    wts = rng.standard_normal((co, ci, 3, 3)).astype(dtype)
+    y = tensor.conv2d(x, wts, stride, 1)
+    assert y.dtype == dtype
+    assert tensor.conv2d_transposed(y, wts, stride, 1).dtype == dtype
+    assert tensor.conv2d_weight_grad(x, y, wts.shape, stride, 1).dtype == dtype
+
+
+def test_set_threads_caps_the_loaded_blas(monkeypatch):
+    before = tensor.blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS found in this process")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, ""))
+    try:
+        assert tensor.set_threads(1) == 1
+        assert tensor.blas_threads() == 1
+        if (os.cpu_count() or 1) >= 2:
+            monkeypatch.setenv("REVNET_THREADS", "2")
+            assert tensor.set_threads() == 2
+            assert tensor.blas_threads() == 2
+    finally:
+        tensor.set_threads(before)
 
 
 def test_conv2d_rejects_non_divisible_stride():
