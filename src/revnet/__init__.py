@@ -14,7 +14,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead, sgd_update
+from .layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 from .losses import LossReport, cross_entropy, one_hot, reconstruction_mse
 from .network import (
     ARCHITECTURES,
@@ -38,6 +38,6 @@ from .data import (
     normalize_channelwise,
     synthetic_digits,
 )
-from .training import TrainConfig, evaluate, lr_at, run_experiment, train_step
+from .training import TrainConfig, evaluate, lr_at, run_experiment, sgd_update, train_step
 
 __version__ = "0.1.0"

@@ -13,29 +13,10 @@ import struct
 import numpy as np
 
 from .errors import FormatError, StateError
-from .layers import Conv, Dense, LeakyRelu, MaxPool, SoftmaxHead
 from .network import NetworkSpec
 
 MAGIC = b"RVNT1\n"
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
-
-
-def _tokens(net):
-    toks = []
-    for layer in net.layers:
-        if isinstance(layer, Conv):
-            toks.append(f"conv:{layer.c_out}:{layer.k}:{layer.stride}:{layer.pad}")
-        elif isinstance(layer, MaxPool):
-            toks.append(f"pool:{layer.window}")
-        elif isinstance(layer, LeakyRelu):
-            toks.append(f"lrelu:{layer.slope!r}")
-        elif isinstance(layer, Dense):
-            toks.append(f"dense:{layer.out_features}")
-        elif isinstance(layer, SoftmaxHead):
-            toks.append("softmax")
-        else:
-            raise StateError(f"cannot serialize layer {type(layer).__name__}")
-    return toks
 
 
 def save_checkpoint(path, net, extra=None):
@@ -56,7 +37,7 @@ def save_checkpoint(path, net, extra=None):
         "dtype": dtype_name,
         "input_shape": list(net.input_shape),
         "n_classes": net.n_classes,
-        "tokens": _tokens(net),
+        "tokens": [layer.token() for layer in net.layers],
         "params": params,
         "extra": extra or {},
     }
@@ -117,6 +98,5 @@ def load_checkpoint(path, rcfg=None):
                 raise FormatError(f"{path}: truncated at byte {offset}")
             arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(net.dtype, copy=True)
             setattr(layer, rec["name"], arr)
-            setattr(layer, "v" + rec["name"], np.zeros_like(arr))
             offset += count * dtype.itemsize
     return net, header.get("extra", {})

@@ -168,7 +168,6 @@ def _apply_common(args, values):
 def _setup_runtime(deterministic):
     if tensor.set_threads() is None and deterministic:
         tensor.set_threads(1)
-    tensor.set_determinism(deterministic)
 
 
 def cmd_train(args):
@@ -184,7 +183,7 @@ def cmd_train(args):
     summary = []
     for r in range(args.repeats):
         seed_r = cfg.seed + r
-        cfg_r = replace(cfg, seed=seed_r, transform=replace(cfg.transform, seed=seed_r))
+        cfg_r = replace(cfg, seed=seed_r)
         sub = out_dir if args.repeats == 1 else os.path.join(out_dir, f"run-{r:02d}")
         os.makedirs(sub, exist_ok=True)
         net = spec.build(

@@ -120,7 +120,6 @@ def train_config_from(values):
         boost_factor=typed(values, "transform.boost_factor"),
         renormalize=typed(values, "transform.renormalize"),
         include_argmax=typed(values, "transform.include_argmax"),
-        seed=typed(values, "train.seed"),
     )
     return TrainConfig(
         lr0=typed(values, "train.lr0"),

@@ -17,6 +17,10 @@ wires that up and routes the resulting "b_prev" gradient to its owner.
 reverse_backward is the adjoint of reverse: it propagates an upstream
 gradient arriving at the reconstruction back toward the likelihood end of
 the chain, collecting parameter gradients from the tied usage on the way.
+
+Layers hold their parameters (W, b) but no optimizer state: momentum lives
+on the network and training.sgd_update applies the step. token() writes a
+layer back as its NetworkSpec DSL token, the form checkpoints store.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, ShapeError, StateError
 
 SOFTMAX_CLAMP = 1e-12
 
@@ -71,16 +75,12 @@ class Layer:
     def init_params(self, rng, dtype):
         pass
 
-    def param_tensors(self):
-        """Name -> array mapping of trainable buffers (empty if none)."""
-        return {}
-
-    def hyperparams(self):
-        return {}
+    def token(self):
+        """The layer's canonical token in the NetworkSpec DSL."""
+        raise StateError(f"cannot serialize layer {type(self).__name__}")
 
     def __repr__(self):
-        hp = ",".join(f"{k}={v}" for k, v in self.hyperparams().items())
-        return f"{type(self).__name__}({hp})"
+        return self.token()
 
 
 def _add_bias_prev(y, bias_prev):
@@ -121,21 +121,14 @@ class Dense(Layer):
         self.in_shape = (in_features,)  # refined by the network builder
         self.W = None
         self.b = None
-        self.vW = None
-        self.vb = None
 
     def init_params(self, rng, dtype=tensor.SINGLE):
         std = np.sqrt(2.0 / self.in_features)
         self.W = tensor.gaussian_fill((self.in_features, self.out_features), rng, 0.0, std, dtype)
         self.b = np.zeros(self.out_features, dtype=dtype)
-        self.vW = np.zeros_like(self.W)
-        self.vb = np.zeros_like(self.b)
 
-    def param_tensors(self):
-        return {"W": self.W, "b": self.b, "vW": self.vW, "vb": self.vb}
-
-    def hyperparams(self):
-        return {"in": self.in_features, "out": self.out_features}
+    def token(self):
+        return f"dense:{self.out_features}"
 
     def out_shape_for(self, in_shape):
         if int(np.prod(in_shape)) != self.in_features:
@@ -192,22 +185,15 @@ class Conv(Layer):
         self.pad = k // 2 if pad is None else pad
         self.W = None
         self.b = None
-        self.vW = None
-        self.vb = None
 
     def init_params(self, rng, dtype=tensor.SINGLE):
         fan_in = self.c_in * self.k * self.k
         std = np.sqrt(2.0 / fan_in)
         self.W = tensor.gaussian_fill((self.c_out, self.c_in, self.k, self.k), rng, 0.0, std, dtype)
         self.b = np.zeros(self.c_out, dtype=dtype)
-        self.vW = np.zeros_like(self.W)
-        self.vb = np.zeros_like(self.b)
 
-    def param_tensors(self):
-        return {"W": self.W, "b": self.b, "vW": self.vW, "vb": self.vb}
-
-    def hyperparams(self):
-        return {"c_in": self.c_in, "c_out": self.c_out, "k": self.k, "stride": self.stride, "pad": self.pad}
+    def token(self):
+        return f"conv:{self.c_out}:{self.k}:{self.stride}:{self.pad}"
 
     def out_shape_for(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.c_in:
@@ -255,8 +241,8 @@ class LeakyRelu(Layer):
             raise DomainError("leaky-relu slope must be > 0 to stay bijective")
         self.slope = slope
 
-    def hyperparams(self):
-        return {"slope": self.slope}
+    def token(self):
+        return f"lrelu:{self.slope!r}"
 
     def out_shape_for(self, in_shape):
         return tuple(in_shape)
@@ -293,8 +279,8 @@ class MaxPool(Layer):
             raise ShapeError("pool window must be >= 2")
         self.window = window
 
-    def hyperparams(self):
-        return {"window": self.window}
+    def token(self):
+        return f"pool:{self.window}"
 
     def out_shape_for(self, in_shape):
         c, h, w = in_shape
@@ -361,6 +347,9 @@ class SoftmaxHead(Layer):
 
     kind = "softmax"
 
+    def token(self):
+        return "softmax"
+
     def out_shape_for(self, in_shape):
         return tuple(in_shape)
 
@@ -385,30 +374,3 @@ class SoftmaxHead(Layer):
         clamped, live = rcache
         return g / clamped * live, None
 
-
-LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv, LeakyRelu, MaxPool, SoftmaxHead)}
-
-
-def sgd_update(layer, grads, lr, momentum, weight_decay):
-    """Momentum SGD with decoupled-from-nothing L2 (classic weight decay):
-
-        v <- momentum*v - lr*(g + weight_decay*p);  p <- p + v
-
-    Raises NumericError (and leaves the step unapplied) on non-finite
-    gradients, and verifies parameters stay finite after the update.
-    """
-    if not layer.has_params:
-        return
-    for name, vel in (("W", "vW"), ("b", "vb")):
-        g = grads.get(name)
-        if g is None:
-            continue
-        p = getattr(layer, name)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {layer!r}.{name}")
-        v = getattr(layer, vel)
-        v *= g.dtype.type(momentum)
-        v -= g.dtype.type(lr) * (g + g.dtype.type(weight_decay) * p)
-        p += v
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"non-finite parameter after update: {layer!r}.{name}")

@@ -10,9 +10,14 @@ SoftmaxHead. Three views of the same parameters:
                                            tail only; optionally all the way
                                            to pixel space for visualization)
 
-one_step_forward pushes a latent through the classification tail
-(final Dense + head) with the same code path feed_forward uses, so the
-two agree bit-for-bit on shared inputs.
+feed_forward and one_step_forward (a latent pushed through the final
+Dense + head) share one forward walker, so the two agree bit-for-bit on
+shared inputs. backward_from_logits, one_step_adjoint and reverse_adjoint
+share one adjoint walker: it calls backward or reverse_backward over a
+span of layers and adds each parameter gradient into the per-layer
+accumulator acc[i][name], routing the reverse step's "b_prev" gradient
+to the previous parameterized layer's bias. The momentum state for the
+update lives here too, in velocity[i][name].
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigError, DomainError, ShapeError, StateError
-from .layers import LAYER_KINDS, Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
+from .layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 
 
 def check_likelihood(o, tol=1e-6):
@@ -49,7 +54,6 @@ class TransformConfig:
     boost_factor: float = 0.95
     renormalize: bool = True
     include_argmax: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.boost_count < 1:
@@ -109,6 +113,8 @@ class ReversibleNetwork:
             if layer.has_params:
                 self._prev_param[i] = last
                 last = i
+        # momentum buffers, velocity[i][name], created by the first update
+        self.velocity = [{} for _ in self.layers]
 
     # -- construction -----------------------------------------------------
 
@@ -116,6 +122,7 @@ class ReversibleNetwork:
         self.dtype = dtype
         for layer in self.layers:
             layer.init_params(rng, dtype)
+        self.velocity = [{} for _ in self.layers]
         return self
 
     def validate_classifier(self):
@@ -134,12 +141,33 @@ class ReversibleNetwork:
     def new_grad_acc(self):
         return [{} for _ in self.layers]
 
-    @staticmethod
-    def _acc(acc_entry, name, g):
-        if name in acc_entry:
-            acc_entry[name] = acc_entry[name] + g
-        else:
-            acc_entry[name] = g
+    # -- the two walkers --------------------------------------------------
+
+    def _forward(self, v, lo=0):
+        """Run layers[lo:] forward from v. Returns (output, alpha, caches):
+        alpha is the final Dense layer's input (None if the span starts
+        past it), caches[i] layer i's cache (None outside the span)."""
+        caches = [None] * len(self.layers)
+        alpha = None
+        for i in range(lo, len(self.layers)):
+            if i == self.final_dense_idx:
+                alpha = v
+            v, caches[i] = self.layers[i].forward(v)
+        return v, alpha, caches
+
+    def _adjoint(self, g, order, op, caches, acc):
+        """Walk the layers in `order`, calling each one's `op` ("backward"
+        or "reverse_backward") on its cache and adding the parameter
+        gradients into acc; a "b_prev" gradient belongs to the previous
+        parameterized layer's bias. Returns the gradient at the span's end."""
+        for i in order:
+            if caches[i] is None:
+                raise StateError(f"missing {op} cache for layer {i}")
+            g, grads = getattr(self.layers[i], op)(g, caches[i])
+            for name, val in (grads or {}).items():
+                j, name = (self._prev_param[i], "b") if name == "b_prev" else (i, name)
+                acc[j][name] = acc[j][name] + val if name in acc[j] else val
+        return g
 
     # -- forward ----------------------------------------------------------
 
@@ -148,15 +176,7 @@ class ReversibleNetwork:
         feature (the final Dense layer's input)."""
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != network input {self.input_shape}")
-        v = x
-        trace = []
-        alpha = None
-        for i, layer in enumerate(self.layers):
-            if i == self.final_dense_idx:
-                alpha = v
-            v, cache = layer.forward(v)
-            trace.append(cache)
-        return v, alpha, trace
+        return self._forward(x)
 
     def predict(self, x):
         o, _, _ = self.feed_forward(x)
@@ -166,12 +186,7 @@ class ReversibleNetwork:
         """Backprop a gradient given w.r.t. the pre-softmax logits (the
         cross-entropy/softmax combination), skipping the head layer."""
         start = len(self.layers) - 2 if self.has_head else len(self.layers) - 1
-        for i in range(start, -1, -1):
-            g, grads = self.layers[i].backward(g, trace[i])
-            if grads:
-                for name, val in grads.items():
-                    self._acc(acc[i], name, val)
-        return g
+        return self._adjoint(g, range(start, -1, -1), "backward", trace, acc)
 
     # -- reverse ----------------------------------------------------------
 
@@ -207,17 +222,7 @@ class ReversibleNetwork:
         accumulating tied-weight gradients; returns the gradient w.r.t.
         the span's starting value (o for a full feed-backward)."""
         hi = len(self.layers) if hi is None else hi
-        for i in range(lo, hi):
-            if rcaches[i] is None:
-                raise StateError(f"missing reverse cache for layer {i}")
-            g, grads = self.layers[i].reverse_backward(g, rcaches[i])
-            if grads:
-                for name, val in grads.items():
-                    if name == "b_prev":
-                        self._acc(acc[self._prev_param[i]], "b", val)
-                    else:
-                        self._acc(acc[i], name, val)
-        return g
+        return self._adjoint(g, range(lo, hi), "reverse_backward", rcaches, acc)
 
     # -- latent generation ------------------------------------------------
 
@@ -243,23 +248,14 @@ class ReversibleNetwork:
     def one_step_forward(self, alpha, want_caches=False):
         """Push a penultimate-level latent through final Dense + head."""
         self._require_tail()
-        v = alpha
-        caches = [None] * len(self.layers)
-        for i in range(self.final_dense_idx, len(self.layers)):
-            v, cache = self.layers[i].forward(v)
-            caches[i] = cache
-        return (v, caches) if want_caches else v
+        o, _, caches = self._forward(alpha, self.final_dense_idx)
+        return (o, caches) if want_caches else o
 
     def one_step_adjoint(self, g_logits, caches, acc):
         """Backprop from tail logits down to the latent, accumulating tail
         parameter gradients; returns the gradient w.r.t. the latent."""
-        g = g_logits
-        for i in range(len(self.layers) - 2, self.final_dense_idx - 1, -1):
-            g, grads = self.layers[i].backward(g, caches[i])
-            if grads:
-                for name, val in grads.items():
-                    self._acc(acc[i], name, val)
-        return g
+        tail = range(len(self.layers) - 2, self.final_dense_idx - 1, -1)
+        return self._adjoint(g_logits, tail, "backward", caches, acc)
 
 
 # ---------------------------------------------------------------------------

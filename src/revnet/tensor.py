@@ -42,7 +42,6 @@ except ImportError:  # torch is an optional accelerator, never required
     _HAVE_TORCH = False
 
 SINGLE = np.float32
-DOUBLE = np.float64
 
 # Cap on the im2col column buffer of one batch chunk. An unchunked buffer
 # for a 32-channel 5x5 conv on 32x32 maps is about 100 MB at batch 32. On
@@ -50,16 +49,6 @@ DOUBLE = np.float64
 # layer shape of the small and baseline nets fastest; 8 and 16 MB were up
 # to 1.5x slower on the 32-64 channel layers.
 _COL_BYTES = 2 << 20
-
-
-def set_determinism(flag):
-    """Pin internal parallelism so repeated runs are bit-identical.
-
-    CPU kernels in both backends are already deterministic for a fixed
-    thread count; this freezes the torch thread count for the process.
-    """
-    if flag and _HAVE_TORCH:
-        torch.set_num_threads(torch.get_num_threads())
 
 
 def _openblas():
@@ -128,15 +117,6 @@ def conv_backend():
 
 # ---------------------------------------------------------------------------
 # plumbing ops
-
-
-def matmul(a, b):
-    """Rank-2 matrix product [m x k] @ [k x n] -> [m x n]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def argmax_last(a):

@@ -4,8 +4,11 @@ Each batch runs up to six blocks in a fixed order: feed-forward,
 feed-backward (reconstruction), latent generation from transformed
 likelihoods, one-step feed-forward of the generated latents, loss
 computing, and a single parameter update. Gradients from all enabled
-loss terms are summed into that one update. With reconstruction and
-generation disabled the step degenerates to plain supervised SGD.
+loss terms are summed into that one update, which sgd_update applies to
+the whole net at once: it checks every gradient, clips the global norm,
+then writes the momentum step, so a rejected step changes nothing. With
+reconstruction and generation disabled the step degenerates to plain
+supervised SGD.
 """
 
 import csv
@@ -17,7 +20,6 @@ import numpy as np
 from . import tensor
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
-from .layers import sgd_update
 from .losses import LossReport, cross_entropy, one_hot, reconstruction_mse
 from .network import TransformConfig, transform_likelihood
 
@@ -84,6 +86,48 @@ def lr_at(epoch, cfg):
     return cfg.lr0 * cfg.lr_drop_factor ** n
 
 
+def sgd_update(net, acc, lr, cfg):
+    """One momentum-SGD step over the whole net from the summed gradients
+    acc[i][name], with classic L2 weight decay:
+
+        v <- momentum*v - lr*(g + weight_decay*p);  p <- p + v
+
+    The step applies fully or not at all: every gradient is checked finite
+    (else NumericError) before anything is written. Then, if
+    cfg.clip_grad_norm > 0, the gradients are scaled down to that global
+    L2 norm, and the update runs layer by layer. Velocity lives in
+    net.velocity[i][name], zero until first use. Parameters are checked
+    finite after the update.
+    """
+    for i, entry in enumerate(acc):
+        for name, g in entry.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient {name} of layer {i} ({net.layers[i]!r})")
+    if cfg.clip_grad_norm > 0:
+        total = 0.0
+        for entry in acc:
+            for g in entry.values():
+                total += float(np.sum(np.square(g, dtype=np.float64)))
+        total = np.sqrt(total)
+        if total > cfg.clip_grad_norm:
+            scale = cfg.clip_grad_norm / total
+            for entry in acc:
+                for name, g in entry.items():
+                    entry[name] = g * g.dtype.type(scale)
+    for i, entry in enumerate(acc):
+        layer, vel = net.layers[i], net.velocity[i]
+        for name, g in entry.items():
+            p = getattr(layer, name)
+            if name not in vel:
+                vel[name] = np.zeros_like(p)
+            v = vel[name]
+            v *= g.dtype.type(cfg.momentum)
+            v -= g.dtype.type(lr) * (g + g.dtype.type(cfg.weight_decay) * p)
+            p += v
+            if not np.all(np.isfinite(p)):
+                raise NumericError(f"non-finite parameter {name} of layer {i} ({layer!r}) after update")
+
+
 def train_step(net, batch, cfg, rng, epoch=0):
     """One Algorithm-style step on (x, labels); applies the update in place
     and returns the pre-update LossReport plus the batch error count."""
@@ -124,22 +168,7 @@ def train_step(net, batch, cfg, rng, epoch=0):
             f"non-finite loss (cls={rep.cls} rec={rep.rec} gen={rep.gen}); aborting"
         )
 
-    if cfg.clip_grad_norm > 0:
-        total = 0.0
-        for entry in acc:
-            for g in entry.values():
-                total += float(np.sum(np.square(g, dtype=np.float64)))
-        total = np.sqrt(total)
-        if total > cfg.clip_grad_norm:
-            factor = x.dtype.type(cfg.clip_grad_norm / total)
-            for entry in acc:
-                for name in entry:
-                    entry[name] = entry[name] * factor
-
-    lr = lr_at(epoch, cfg)
-    for i, layer in enumerate(net.layers):
-        if layer.has_params and acc[i]:
-            sgd_update(layer, acc[i], lr, cfg.momentum, cfg.weight_decay)
+    sgd_update(net, acc, lr_at(epoch, cfg), cfg)
     return rep, mis
 
 

@@ -105,7 +105,6 @@ class TestBuilders:
         assert cfg.epochs == 5
         assert cfg.clip_grad_norm == 5.0
         assert cfg.transform.boost_count == 2
-        assert cfg.transform.seed == 7
         assert cfg.seed == 7
 
     def test_invalid_train_value_rejected(self):

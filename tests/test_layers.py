@@ -14,8 +14,9 @@ from revnet.layers import (
     MaxPool,
     ReverseConfig,
     SoftmaxHead,
-    sgd_update,
 )
+from revnet.network import ReversibleNetwork
+from revnet.training import TrainConfig, sgd_update
 
 H = 1e-5
 REL_TOL = 1e-5
@@ -351,48 +352,47 @@ def test_zero_upstream_gives_zero_grads():
 # -- sgd update -------------------------------------------------------------
 
 
-def test_sgd_plain_step():
+def scalar_net(w, b):
+    """A one-Dense-layer net with the 1x1 weight w and bias b."""
     layer = Dense(1, 1)
-    layer.W = np.array([[0.0]])
-    layer.b = np.array([0.0])
-    layer.vW = np.zeros_like(layer.W)
-    layer.vb = np.zeros_like(layer.b)
-    sgd_update(layer, {"W": np.array([[3.0]]), "b": np.array([0.0])}, 1.0, 0.0, 0.0)
-    assert layer.W[0, 0] == -3.0
+    layer.W = np.array([[w]])
+    layer.b = np.array([b])
+    return ReversibleNetwork([layer], (1,))
+
+
+def test_sgd_plain_step():
+    net = scalar_net(0.0, 0.0)
+    cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
+    sgd_update(net, [{"W": np.array([[3.0]]), "b": np.array([0.0])}], 1.0, cfg)
+    assert net.layers[0].W[0, 0] == -3.0
 
 
 def test_sgd_two_step_momentum_trace():
     # hand-computed: p0=1, g=0.5, lr=0.1, momentum=0.9, decay=0
     # v1 = -0.05, p1 = 0.95; v2 = 0.9*(-0.05) - 0.05 = -0.095, p2 = 0.855
-    layer = Dense(1, 1)
-    layer.W = np.array([[1.0]])
-    layer.b = np.array([0.0])
-    layer.vW = np.zeros_like(layer.W)
-    layer.vb = np.zeros_like(layer.b)
+    net = scalar_net(1.0, 0.0)
+    cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
     g = {"W": np.array([[0.5]]), "b": np.array([0.0])}
-    sgd_update(layer, g, 0.1, 0.9, 0.0)
-    assert np.isclose(layer.W[0, 0], 0.95)
-    sgd_update(layer, g, 0.1, 0.9, 0.0)
-    assert np.isclose(layer.W[0, 0], 0.855)
+    sgd_update(net, [g], 0.1, cfg)
+    assert np.isclose(net.layers[0].W[0, 0], 0.95)
+    assert np.isclose(net.velocity[0]["W"][0, 0], -0.05)
+    sgd_update(net, [g], 0.1, cfg)
+    assert np.isclose(net.layers[0].W[0, 0], 0.855)
+    assert np.isclose(net.velocity[0]["W"][0, 0], -0.095)
 
 
 def test_sgd_zero_grad_keeps_params():
-    layer = Dense(1, 1)
-    layer.W = np.array([[2.0]])
-    layer.b = np.array([1.0])
-    layer.vW = np.zeros_like(layer.W)
-    layer.vb = np.zeros_like(layer.b)
-    sgd_update(layer, {"W": np.zeros((1, 1)), "b": np.zeros(1)}, 0.5, 0.9, 0.0)
-    assert layer.W[0, 0] == 2.0
-    assert layer.b[0] == 1.0
+    net = scalar_net(2.0, 1.0)
+    cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
+    sgd_update(net, [{"W": np.zeros((1, 1)), "b": np.zeros(1)}], 0.5, cfg)
+    assert net.layers[0].W[0, 0] == 2.0
+    assert net.layers[0].b[0] == 1.0
 
 
 def test_sgd_rejects_non_finite_grad():
-    layer = Dense(1, 1)
-    layer.W = np.array([[1.0]])
-    layer.b = np.array([0.0])
-    layer.vW = np.zeros_like(layer.W)
-    layer.vb = np.zeros_like(layer.b)
+    net = scalar_net(1.0, 0.0)
+    cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
     with pytest.raises(NumericError):
-        sgd_update(layer, {"W": np.array([[np.inf]]), "b": np.zeros(1)}, 0.1, 0.9, 0.0)
-    assert layer.W[0, 0] == 1.0
+        sgd_update(net, [{"W": np.array([[np.inf]]), "b": np.zeros(1)}], 0.1, cfg)
+    assert net.layers[0].W[0, 0] == 1.0
+    assert net.velocity == [{}]

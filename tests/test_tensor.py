@@ -9,19 +9,6 @@ from revnet import tensor
 from revnet.errors import ShapeError
 
 
-def matmul_loops(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m), dtype=a.dtype)
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
 def conv2d_loops(x, w, stride, pad):
     b, ci, h, wd = x.shape
     co, ci2, kh, kw = w.shape
@@ -80,21 +67,6 @@ def conv2d_weight_grad_loops(x, g, kernel_shape, stride, pad):
                                 s += g[n, o, i, j] * xp[n, c, i * stride + u, j * stride + v]
                     out[o, c, u, v] = s
     return out
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((6, 3))
-        assert np.allclose(tensor.matmul(a, b), matmul_loops(a, b), atol=1e-12)
-
-
-def test_matmul_rejects_bad_ranks():
-    with pytest.raises(ShapeError):
-        tensor.matmul(np.zeros((2, 3, 4)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        tensor.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 GEOMETRIES = [(1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5)]

@@ -292,6 +292,39 @@ class TestModeContract:
             train_step(net, (x, y), cfg, np.random.default_rng(0))
 
 
+class TestAllOrNothingUpdate:
+    @pytest.mark.parametrize("clip", [0.0, 5.0])
+    def test_non_finite_gradient_changes_nothing(self, monkeypatch, clip):
+        # an infinite gradient in the last layer must abort the step before
+        # any layer (the input conv first of all) or its velocity moves
+        spec = NetworkSpec((1, 6, 6), 3, ["conv:2:3", "lrelu", "pool:2", "dense:3", "softmax"])
+        net = spec.build(np.random.default_rng(4), dtype=np.float32)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 1, 6, 6)).astype(np.float32)
+        y = np.array([0, 1, 2, 1])
+        cfg = TrainConfig(clip_grad_norm=clip)
+        train_step(net, (x, y), cfg, np.random.default_rng(5))
+
+        def state():
+            params = [(l.W.tobytes(), l.b.tobytes()) for l in net.param_layers()]
+            vel = [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
+            return params, vel
+
+        before = state()
+        dense = net.layers[net.final_dense_idx]
+        backward = dense.backward
+
+        def inf_backward(g, cache):
+            gx, grads = backward(g, cache)
+            grads["W"] = np.full_like(grads["W"], np.inf)
+            return gx, grads
+
+        monkeypatch.setattr(dense, "backward", inf_backward)
+        with pytest.raises(NumericError):
+            train_step(net, (x, y), cfg, np.random.default_rng(6))
+        assert state() == before
+
+
 class TestDescent:
     def test_loss_decreases_on_learnable_toy(self):
         net = mlp(n_in=16, hidden=24, n_classes=4, seed=2)
