@@ -41,8 +41,8 @@ class ReverseConfig:
         slope > 0); "forward" applies the forward activation, the literal
         Eq.-style variant, for fidelity experiments.
     pool: "upsample" spreads each pooled value over its window
-        (nearest-neighbor); "unpool" scatters into the recorded argmax
-        positions and needs the forward trace.
+        (nearest-neighbor); "unpool" scatters into the window maxima
+        recorded by the forward pass and needs the forward trace.
     grad_through_output: propagate reconstruction gradients past the
         inverse-softmax into the forward logits (off by default; the 1/o
         factors explode for saturated outputs).
@@ -84,16 +84,19 @@ class Layer:
 
 
 def _add_bias_prev(y, bias_prev):
-    """Add the previous layer's bias, broadcasting per channel for maps."""
+    """Add the previous layer's bias to the fresh array y in place,
+    broadcasting per channel for maps."""
     if bias_prev is None:
         return y
     if y.ndim == 4:
         if bias_prev.size != y.shape[1]:
             raise ShapeError(f"bias_prev has {bias_prev.size} entries, map has {y.shape[1]} channels")
-        return y + bias_prev.reshape(1, -1, 1, 1)
+        y += bias_prev.reshape(1, -1, 1, 1)
+        return y
     if bias_prev.size != y.shape[-1]:
         raise ShapeError(f"bias_prev has {bias_prev.size} entries, vector has {y.shape[-1]}")
-    return y + bias_prev
+    y += bias_prev
+    return y
 
 
 def _bias_prev_grad(g):
@@ -140,7 +143,8 @@ class Dense(Layer):
         x2 = x.reshape(x.shape[0], -1)
         if x2.shape[1] != self.in_features:
             raise ShapeError(f"dense expects {self.in_features} features, got {x2.shape[1]}")
-        y = x2 @ self.W + self.b
+        y = x2 @ self.W
+        y += self.b
         return y, (x2, x.shape)
 
     def backward(self, g, cache):
@@ -202,7 +206,8 @@ class Conv(Layer):
         return (self.c_out, ho, wo)
 
     def forward(self, x):
-        y = tensor.conv2d(x, self.W, self.stride, self.pad) + self.b.reshape(1, -1, 1, 1)
+        y = tensor.conv2d(x, self.W, self.stride, self.pad)
+        y += self.b.reshape(1, -1, 1, 1)
         return y, x
 
     def backward(self, g, cache):
@@ -232,7 +237,13 @@ class Conv(Layer):
 
 class LeakyRelu(Layer):
     """x if x >= 0 else slope*x; bijective for slope > 0, so the reverse
-    path can apply the exact inverse."""
+    path can apply the exact inverse.
+
+    Every op is branch-free: the value is the max or min of x and its
+    scaled branch, and the caches keep the sign mask x >= 0 (one byte per
+    element), from which the gradient factor m + (1 - m)*slope is built,
+    exactly 1 or slope.
+    """
 
     kind = "lrelu"
 
@@ -248,29 +259,56 @@ class LeakyRelu(Layer):
         return tuple(in_shape)
 
     def forward(self, x):
-        return np.where(x >= 0, x, x * x.dtype.type(self.slope)), x
+        s = x.dtype.type(self.slope)
+        return _leaky(x, x * s, s), x >= 0
 
     def backward(self, g, cache):
-        x = cache
-        return g * np.where(x >= 0, x.dtype.type(1), x.dtype.type(self.slope)), None
+        return _scale_negatives(g, cache, g.dtype.type(self.slope)), None
 
     def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
         mode = rcfg.activation if rcfg is not None else "inverse"
         s = v.dtype.type(self.slope)
         if mode == "forward":
-            return np.where(v >= 0, v, v * s), (v, mode)
-        return np.where(v >= 0, v, v / s), (v, mode)
+            branch, factor = v * s, s
+        else:
+            branch, factor = v / s, v.dtype.type(1) / s
+        return _leaky(v, branch, factor), (v >= 0, factor)
 
     def reverse_backward(self, g, rcache):
-        v, mode = rcache
-        s = g.dtype.type(self.slope)
-        factor = s if mode == "forward" else g.dtype.type(1) / s
-        return g * np.where(v >= 0, g.dtype.type(1), factor), None
+        mask, factor = rcache
+        return _scale_negatives(g, mask, factor), None
+
+
+def _leaky(x, branch, factor):
+    """x where x >= 0, else branch (x scaled by factor), written into
+    branch: the two meet at 0, so that is their max for factor <= 1 and
+    their min above."""
+    pick = np.maximum if factor <= 1 else np.minimum
+    return pick(branch, x, out=branch)
+
+
+def _scale_negatives(g, mask, factor):
+    """g where mask, else g*factor, as g*(m + (1 - m)*factor) with m the
+    mask as 0/1: for a finite factor exactly 1 or `factor`, with no branch
+    taken."""
+    f = np.subtract(1, mask, dtype=g.dtype)
+    f *= factor
+    f += mask
+    f *= g
+    return f
 
 
 class MaxPool(Layer):
-    """Non-overlapping window max; records argmax maps for backprop and
-    for the index-unpooling reverse variant."""
+    """Non-overlapping window max.
+
+    Works on the k*k strided views x[:, :, a::k, b::k], taken in window
+    order (a, b), with no copy of the input. The cache keeps one bool mask
+    per view marking the first maximal offset of each window, argmax's tie
+    rule; backprop and the index-unpooling reverse variant scatter through
+    those masks as g*mask, so off the maxima they write g*0: a zero with
+    g's sign, or NaN where g is infinite, which keeps a non-finite
+    gradient non-finite.
+    """
 
     kind = "maxpool"
 
@@ -288,55 +326,64 @@ class MaxPool(Layer):
             raise ShapeError(f"pool window {self.window} does not divide {h}x{w}")
         return (c, h // self.window, w // self.window)
 
-    def _windows(self, x):
-        b, c, h, w = x.shape
+    def _views(self, a):
         k = self.window
-        if h % k or w % k:
-            raise ShapeError(f"pool window {k} does not divide {h}x{w}")
-        return x.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h // k, w // k, k * k
-        )
+        return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+    def _scatter(self, v, masks, shape):
+        y = np.empty(shape, dtype=v.dtype)
+        for view, m in zip(self._views(y), masks):
+            np.multiply(v, m, out=view)
+        return y
 
     def forward(self, x):
-        win = self._windows(x)
-        idx = win.argmax(axis=-1)
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
+        k = self.window
+        if x.shape[2] % k or x.shape[3] % k:
+            raise ShapeError(f"pool window {k} does not divide {x.shape[2]}x{x.shape[3]}")
+        views = self._views(x)
+        y = views[0].copy()
+        for view in views[1:]:
+            np.maximum(view, y, out=y)  # a +-0 tie keeps y, the earlier offset
+        masks = [views[0] == y]
+        free = ~masks[0]  # windows whose max offset is still to be found
+        for view in views[1:-1]:
+            m = view == y
+            m &= free
+            free ^= m
+            masks.append(m)
+        masks.append(free)  # the last offset holds every remaining max
+        return y, (x.shape, masks)
 
     def backward(self, g, cache):
-        xshape, idx = cache
-        b, c, h, w = xshape
-        k = self.window
-        win = np.zeros((b, c, h // k, w // k, k * k), dtype=g.dtype)
-        np.put_along_axis(win, idx[..., None], g[..., None], axis=-1)
-        gx = win.reshape(b, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(xshape)
-        return gx, None
+        xshape, masks = cache
+        return self._scatter(g, masks, xshape), None
 
     def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
         mode = rcfg.pool if rcfg is not None else "upsample"
-        k = self.window
         if mode == "unpool":
             if trace_entry is None:
                 raise DomainError("index unpooling needs the forward trace")
-            xshape, idx = trace_entry
-            b, c, ho, wo = v.shape
-            win = np.zeros((b, c, ho, wo, k * k), dtype=v.dtype)
-            np.put_along_axis(win, idx[..., None], v[..., None], axis=-1)
-            y = win.reshape(b, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(xshape)
-            return y, (mode, idx)
-        y = np.repeat(np.repeat(v, k, axis=2), k, axis=3)
+            xshape, masks = trace_entry
+            return self._scatter(v, masks, xshape), (mode, masks)
+        k = self.window
+        b, c, ho, wo = v.shape
+        y = np.empty((b, c, ho * k, wo * k), dtype=v.dtype)
+        for view in self._views(y):
+            view[...] = v
         return y, (mode, None)
 
     def reverse_backward(self, g, rcache):
-        mode, idx = rcache
-        k = self.window
-        b, c, h, w = g.shape
-        win = g.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h // k, w // k, k * k
-        )
+        mode, masks = rcache
+        views = self._views(g)
         if mode == "unpool":
-            return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], None
-        return win.sum(axis=-1), None
+            gv = views[0] * masks[0]
+            for view, m in zip(views[1:], masks[1:]):
+                gv += view * m
+            return gv, None
+        gv = views[0].copy()
+        for view in views[1:]:
+            gv += view
+        return gv, None
 
 
 class SoftmaxHead(Layer):

@@ -95,9 +95,9 @@ def sgd_update(net, acc, lr, cfg):
     The step applies fully or not at all: every gradient is checked finite
     (else NumericError) before anything is written. Then, if
     cfg.clip_grad_norm > 0, the gradients are scaled down to that global
-    L2 norm, and the update runs layer by layer. Velocity lives in
-    net.velocity[i][name], zero until first use. Parameters are checked
-    finite after the update.
+    L2 norm. Every new velocity is computed and every new parameter checked
+    finite (else NumericError) before the first one is written. Velocity
+    lives in net.velocity[i][name], zero until first use.
     """
     for i, entry in enumerate(acc):
         for name, g in entry.items():
@@ -114,18 +114,22 @@ def sgd_update(net, acc, lr, cfg):
             for entry in acc:
                 for name, g in entry.items():
                     entry[name] = g * g.dtype.type(scale)
+    steps = []
     for i, entry in enumerate(acc):
         layer, vel = net.layers[i], net.velocity[i]
         for name, g in entry.items():
             p = getattr(layer, name)
-            if name not in vel:
-                vel[name] = np.zeros_like(p)
-            v = vel[name]
-            v *= g.dtype.type(cfg.momentum)
-            v -= g.dtype.type(lr) * (g + g.dtype.type(cfg.weight_decay) * p)
-            p += v
-            if not np.all(np.isfinite(p)):
-                raise NumericError(f"non-finite parameter {name} of layer {i} ({layer!r}) after update")
+            step = p * g.dtype.type(cfg.weight_decay)
+            step += g
+            step *= g.dtype.type(lr)
+            v = vel[name] * g.dtype.type(cfg.momentum) if name in vel else np.zeros_like(p)
+            v -= step
+            if not np.all(np.isfinite(np.add(p, v, out=step))):
+                raise NumericError(f"update makes parameter {name} of layer {i} ({layer!r}) non-finite")
+            steps.append((vel, name, v, p))
+    for vel, name, v, p in steps:
+        vel[name] = v
+        p += v
 
 
 def train_step(net, batch, cfg, rng, epoch=0):

@@ -78,6 +78,20 @@ class TestTrain:
         assert ma["outputs"] == mb["outputs"]
         assert ma["start"] is None and ma["end"] is None
 
+    @pytest.mark.parametrize("pool", ["upsample", "unpool"])
+    def test_deterministic_conv_rerun_byte_identical(self, tmp_path, pool):
+        # conv, lrelu and pool on every path, both reverse pool variants
+        args = ["--deterministic", "--seed", "3",
+                "--override", "net.layers=conv:4:3,lrelu,pool:2,dense:10,softmax",
+                "--override", "net.reverse_activation=inverse",
+                "--override", f"net.reverse_pool={pool}",
+                "--override", "train.w_rec=0.01"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(train_cmd(a, args)) == 0
+        assert main(train_cmd(b, args)) == 0
+        for name in ("metrics.csv", "checkpoint-final.rvnt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_seconds_zeroed_only_when_deterministic(self, tmp_path):
         out = tmp_path / "run"
         assert main(train_cmd(out, ["--deterministic"])) == 0

@@ -396,3 +396,98 @@ def test_sgd_rejects_non_finite_grad():
         sgd_update(net, [{"W": np.array([[np.inf]]), "b": np.zeros(1)}], 0.1, cfg)
     assert net.layers[0].W[0, 0] == 1.0
     assert net.velocity == [{}]
+
+
+# -- bit-exactness oracles for the branch-free LeakyRelu and MaxPool -------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.01, 0.3, 2.0])
+def test_lrelu_matches_where_formulas(slope, dtype):
+    # the np.where formulas the layer computes without branches
+    rng = np.random.default_rng(15)
+    big, tiny = np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal
+    specials = [0.0, -0.0, np.inf, -np.inf, big, -big, tiny, -tiny]
+    x = np.concatenate([specials, 3 * rng.standard_normal(200)]).astype(dtype)
+    g = np.concatenate([specials[::-1], rng.standard_normal(200)]).astype(dtype)
+    s, one = dtype(slope), dtype(1)
+    layer = LeakyRelu(slope)
+    y, cache = layer.forward(x)
+    assert np.array_equal(y, np.where(x >= 0, x, x * s))
+    gx, _ = layer.backward(g, cache)
+    assert np.array_equal(gx, g * np.where(x >= 0, one, s))
+    for mode, branch, factor in (("forward", x * s, s), ("inverse", x / s, one / s)):
+        v, rcache = layer.reverse(x, rcfg=ReverseConfig(activation=mode))
+        assert np.array_equal(v, np.where(x >= 0, x, branch))
+        gv, _ = layer.reverse_backward(g, rcache)
+        assert np.array_equal(gv, g * np.where(x >= 0, one, factor))
+        assert v.dtype == gv.dtype == dtype
+
+
+def pool_loop(x, k):
+    """Per-window oracle: each window's max and the offset (a, b) of its
+    first maximal entry in window order, argmax's tie rule."""
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h // k, w // k), dtype=x.dtype)
+    at = {}
+    for n, ch, i, j in np.ndindex(*y.shape):
+        win = x[n, ch, i * k:(i + 1) * k, j * k:(j + 1) * k].reshape(-1)
+        best = 0
+        for t in range(1, k * k):
+            if win[t] > win[best]:
+                best = t
+        y[n, ch, i, j] = win[best]
+        at[n, ch, i, j] = (n, ch, i * k + best // k, j * k + best % k)
+    return y, at
+
+
+def tied_maps(rng, shape, dtype):
+    """Random maps with planted ties: a constant band, small integers
+    (with signed zeros) on half the channels, continuous values elsewhere."""
+    x = rng.standard_normal(shape)
+    x[:, ::2] = rng.integers(-1, 2, size=x[:, ::2].shape)
+    x[:, ::2][rng.random(x[:, ::2].shape) < 0.3] = -0.0
+    x[..., :3, :] = 0.25
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3])
+def test_maxpool_matches_window_loop(k, dtype):
+    rng = np.random.default_rng(16 + k)
+    x = tied_maps(rng, (2, 4, 2 * k, 3 * k), dtype)
+    layer = MaxPool(k)
+    y, cache = layer.forward(x)
+    y_ref, at = pool_loop(x, k)
+    assert np.array_equal(y, y_ref)
+    assert y.dtype == dtype
+
+    g = rng.standard_normal(y.shape).astype(dtype)
+    scattered = np.zeros_like(x)
+    for idx, pos in at.items():
+        scattered[pos] = g[idx]
+    gx, _ = layer.backward(g, cache)
+    assert np.array_equal(gx, scattered)
+    unpooled, rcache = layer.reverse(g, trace_entry=cache, rcfg=ReverseConfig(pool="unpool"))
+    assert np.array_equal(unpooled, scattered)
+
+    r = rng.standard_normal(x.shape).astype(dtype)
+    gathered = np.empty_like(y)
+    for idx, pos in at.items():
+        gathered[idx] = r[pos]
+    gv, _ = layer.reverse_backward(r, rcache)
+    assert np.array_equal(gv, gathered)
+
+    upsampled, rcache = layer.reverse(g, rcfg=ReverseConfig(pool="upsample"))
+    assert np.array_equal(upsampled, np.repeat(np.repeat(g, k, axis=2), k, axis=3))
+    summed = np.empty_like(y)
+    for n, ch, i, j in np.ndindex(*y.shape):
+        win = r[n, ch, i * k:(i + 1) * k, j * k:(j + 1) * k].reshape(-1)
+        total = win[0]
+        for t in range(1, k * k):
+            total = total + win[t]
+        summed[n, ch, i, j] = total
+    gv, _ = layer.reverse_backward(r, rcache)
+    assert np.array_equal(gv, summed)
+    assert gv.dtype == dtype

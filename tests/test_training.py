@@ -293,36 +293,73 @@ class TestModeContract:
 
 
 class TestAllOrNothingUpdate:
-    @pytest.mark.parametrize("clip", [0.0, 5.0])
-    def test_non_finite_gradient_changes_nothing(self, monkeypatch, clip):
-        # an infinite gradient in the last layer must abort the step before
-        # any layer (the input conv first of all) or its velocity moves
+    # each test breaks the step in the last layer, after a first good step
+    # made the velocity; nothing may move, the input conv first of all
+
+    def net_after_one_step(self, cfg, pool="upsample"):
         spec = NetworkSpec((1, 6, 6), 3, ["conv:2:3", "lrelu", "pool:2", "dense:3", "softmax"])
-        net = spec.build(np.random.default_rng(4), dtype=np.float32)
+        net = spec.build(np.random.default_rng(4), dtype=np.float32, rcfg=ReverseConfig(pool=pool))
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 1, 6, 6)).astype(np.float32)
-        y = np.array([0, 1, 2, 1])
-        cfg = TrainConfig(clip_grad_norm=clip)
-        train_step(net, (x, y), cfg, np.random.default_rng(5))
+        batch = rng.normal(size=(4, 1, 6, 6)).astype(np.float32), np.array([0, 1, 2, 1])
+        train_step(net, batch, cfg, np.random.default_rng(5))
+        return net, batch
 
-        def state():
-            params = [(l.W.tobytes(), l.b.tobytes()) for l in net.param_layers()]
-            vel = [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
-            return params, vel
+    @staticmethod
+    def state(net):
+        params = [(l.W.tobytes(), l.b.tobytes()) for l in net.param_layers()]
+        vel = [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
+        return params, vel
 
-        before = state()
+    @staticmethod
+    def fill_last_grad(monkeypatch, net, value):
         dense = net.layers[net.final_dense_idx]
         backward = dense.backward
 
-        def inf_backward(g, cache):
+        def filled_backward(g, cache):
             gx, grads = backward(g, cache)
-            grads["W"] = np.full_like(grads["W"], np.inf)
+            grads["W"] = np.full_like(grads["W"], value)
             return gx, grads
 
-        monkeypatch.setattr(dense, "backward", inf_backward)
+        monkeypatch.setattr(dense, "backward", filled_backward)
+
+    @pytest.mark.parametrize("clip", [0.0, 5.0])
+    def test_non_finite_gradient_changes_nothing(self, monkeypatch, clip):
+        cfg = TrainConfig(clip_grad_norm=clip)
+        net, batch = self.net_after_one_step(cfg)
+        before = self.state(net)
+        self.fill_last_grad(monkeypatch, net, np.inf)
         with pytest.raises(NumericError):
-            train_step(net, (x, y), cfg, np.random.default_rng(6))
-        assert state() == before
+            train_step(net, batch, cfg, np.random.default_rng(6))
+        assert self.state(net) == before
+
+    def test_overflowing_update_changes_nothing(self, monkeypatch):
+        # the summed gradient stays finite, but lr * gradient overflows
+        # float32, so the last layer's new parameters would be infinite
+        net, batch = self.net_after_one_step(TrainConfig())
+        before = self.state(net)
+        self.fill_last_grad(monkeypatch, net, 1e37)
+        with pytest.raises(NumericError, match="update makes parameter W of layer 3"):
+            train_step(net, batch, TrainConfig(lr0=100.0), np.random.default_rng(6))
+        assert self.state(net) == before
+
+    @pytest.mark.parametrize("pool", ["upsample", "unpool"])
+    @pytest.mark.parametrize("op", ["backward", "reverse_backward"])
+    def test_non_finite_upstream_gradient_raises(self, monkeypatch, op, pool):
+        # one infinite entry entering the pool and activation from above
+        # (backward) or below (reverse_backward) must still stop the step
+        cfg = TrainConfig()
+        net, batch = self.net_after_one_step(cfg, pool)
+        layer = net.layers[net.final_dense_idx if op == "backward" else 0]
+        original = getattr(layer, op)
+
+        def infected(g, cache):
+            gx, grads = original(g, cache)
+            gx[(0,) * gx.ndim] = np.inf
+            return gx, grads
+
+        monkeypatch.setattr(layer, op, infected)
+        with pytest.raises(NumericError):
+            train_step(net, batch, cfg, np.random.default_rng(6))
 
 
 class TestDescent:
