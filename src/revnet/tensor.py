@@ -13,20 +13,43 @@ sample's columns, where those are larger):
   - forward: kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'], written
     straight into the [B, C_out, H'*W'] output;
   - weight gradient: upstream[C_out, n*H'*W'] @ cols[C_in*k*k, n*H'*W']^T,
-    the batch on the inner dimension, summed over the chunks;
+    the batch on the inner dimension. The even chunks and the odd chunks
+    sum into two halves, in chunk order, and the halves are added last;
   - transposed: kernel^T @ y gives the columns, and col2im scatters them
-    back with one strided add per kernel offset (any stride). At stride 1
+    back with one strided add per kernel offset (any stride) into a padded
+    chunk, whose interior is copied to the C-contiguous output. At stride 1
     with 2*C_in >= C_out it is instead the forward kernel run with the
     flipped, channel-swapped kernel and padding k-1-pad, which moves less
     memory.
+Padding also happens one chunk at a time, into a zero-bordered buffer.
+
+The chunks are shared between two workers, the calling thread and one
+persistent daemon helper thread, each with its own buffers, while every
+BLAS call stays as threaded as the BLAS is. In the forward and transposed
+kernels the workers claim chunks one at a time; the weight gradient deals
+the even chunks to the caller and the odd ones to the helper. The worker
+count is max(1, budget // BLAS threads), at most 2, where the budget is
+the set_threads cap (REVNET_THREADS in the CLI) or else the CPUs this
+process may run on. So a BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1)
+on two CPUs gets two workers, a BLAS threaded over every CPU gets one, and
+set_threads(1) (--deterministic) gets one. Forward and transposed chunks
+write disjoint output slices, and the weight gradient's two halves do not
+depend on who computed them, so all three kernels give the same bits for
+one worker and for two.
+
 When torch is importable the kernels dispatch to torch.nn.functional
 through zero-copy bridges instead. Semantics of both backends are
 identical and are pinned by the adjoint and direct-loop oracle tests.
 Select explicitly with REVNET_CONV_BACKEND={auto,torch,native}.
 """
 
+import contextvars
 import ctypes
+import functools
+import itertools
 import os
+import queue
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,9 +74,11 @@ SINGLE = np.float32
 _COL_BYTES = 2 << 20
 
 
+@functools.cache
 def _openblas():
-    """(set_num_threads, get_num_threads) of the OpenBLAS numpy has loaded,
-    or None where it cannot be found through the process's own maps."""
+    """(set_num_threads, get_num_threads, the thread count it loaded with)
+    of the OpenBLAS numpy has loaded, or None where it cannot be found
+    through the process's own maps. Resolved once per process, on first use."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -71,7 +96,7 @@ def _openblas():
                 if setter and getter:
                     setter.argtypes, setter.restype = [ctypes.c_int], None
                     getter.argtypes, getter.restype = [], ctypes.c_int
-                    return setter, getter
+                    return setter, getter, int(getter())
     return None
 
 
@@ -82,25 +107,31 @@ def blas_threads():
 
 
 def set_threads(n=None):
-    """Cap internal parallelism. n=None reads REVNET_THREADS; unset or
-    invalid leaves the current limits alone. Returns the cap or None.
+    """Cap internal parallelism at n threads. n=None reads REVNET_THREADS;
+    unset or invalid leaves the current limits alone. Returns the cap or None.
 
-    OpenBLAS reads its environment only when it loads, so the cap goes
-    through the loaded library's own API; the environment variables are
-    set as well, for a BLAS found no other way and for child processes."""
+    OpenBLAS gets min(n, the count it loaded with), so a BLAS pinned to one
+    thread stays pinned and the rest of the budget goes to the conv workers
+    (see _conv_workers). OpenBLAS reads its environment only when it loads,
+    so the cap goes through the loaded library's own API; the environment
+    variables are set as well, for a BLAS found no other way and for child
+    processes."""
+    global _THREAD_BUDGET, _CONV_WORKERS
     if n is None:
         raw = os.environ.get("REVNET_THREADS", "")
         if not raw.strip().isdigit():
             return None
         n = int(raw)
     n = max(1, int(n))
-    os.environ["OMP_NUM_THREADS"] = str(n)
-    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
     api = _openblas()
+    blas = n if api is None else min(n, api[2])
+    os.environ["OMP_NUM_THREADS"] = str(blas)
+    os.environ["OPENBLAS_NUM_THREADS"] = str(blas)
     if api is not None:
-        api[0](n)
+        api[0](blas)
     if _HAVE_TORCH:
         torch.set_num_threads(n)
+    _THREAD_BUDGET, _CONV_WORKERS = n, None
     return n
 
 
@@ -113,6 +144,106 @@ def conv_backend():
     if mode == "auto":
         return "torch" if _HAVE_TORCH else "native"
     return mode
+
+
+# ---------------------------------------------------------------------------
+# conv workers
+
+_THREAD_BUDGET = None  # the set_threads cap; None: the CPUs this process may use
+_CONV_WORKERS = None  # from _conv_workers; None until first needed
+_HELPER = None  # the _Helper, started on first use
+_HELPER_LOCK = threading.Lock()
+
+
+def _conv_workers():
+    """Workers for the conv batch chunks: max(1, budget // BLAS threads), at
+    most two (the caller and one helper thread), and one where the BLAS
+    thread count cannot be read. Worked out on first use and after each
+    set_threads, never per kernel call."""
+    global _CONV_WORKERS
+    if _CONV_WORKERS is None:
+        blas = blas_threads()
+        budget = _THREAD_BUDGET
+        if budget is None:
+            try:
+                budget = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity API on this platform
+                budget = os.cpu_count() or 1
+        _CONV_WORKERS = 1 if blas is None else max(1, min(2, budget // blas))
+    return _CONV_WORKERS
+
+
+class _Helper:
+    """A daemon thread that runs submitted jobs one at a time. Each job's
+    exception, or None, goes back through the job's own reply queue."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="revnet-conv-helper", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            job, reply = self._jobs.get()
+            try:
+                job()
+            except BaseException as exc:  # re-raised on the submitting thread
+                reply.put(exc)
+            else:
+                reply.put(None)
+            del job, reply  # hold no buffer between jobs
+
+    def submit(self, job):
+        reply = queue.SimpleQueue()
+        self._jobs.put((job, reply))
+        return reply
+
+
+def _helper():
+    global _HELPER
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            _HELPER = _Helper()
+        return _HELPER
+
+
+def _forget_helper():
+    # a forked child inherits the parent's handle but not its thread
+    global _HELPER, _HELPER_LOCK
+    _HELPER, _HELPER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _run_chunks(chunks, scratch, job, deal=False):
+    """Call job(i, b0, b1, bufs) for every batch chunk i = (b0, b1), on up to
+    two workers, each with its own scratch() buffers. The workers claim the
+    chunks one at a time, in order, so a worker whose CPU is busy with
+    something else takes fewer of them; jobs must then write disjoint
+    outputs. With deal=True the caller runs the even chunks and the helper
+    thread the odd ones instead. Every buffer is allocated here, on the
+    caller: a heap of the helper thread's own would add its high-water mark
+    to the peak RSS."""
+    workers = min(_conv_workers(), len(chunks))
+    claims = itertools.count()  # one next() is atomic under the GIL
+
+    def run(first, bufs):
+        mine = range(first, len(chunks), workers) if deal else itertools.takewhile(len(chunks).__gt__, claims)
+        for i in mine:
+            job(i, *chunks[i], bufs)
+
+    if workers == 1:
+        run(0, scratch())
+        return
+    # the helper runs in the caller's context, so np.errstate applies to both
+    reply = _helper().submit(functools.partial(contextvars.copy_context().run, run, 1, scratch()))
+    try:
+        run(0, scratch())
+    finally:
+        err = reply.get()
+    if err is not None:
+        raise err
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +332,28 @@ def _t(a):
     return torch.from_numpy(np.ascontiguousarray(a))
 
 
-def _windows(x, kh, kw, stride, pad):
-    """[B,C,H,W] -> [B,C,kH,kW,H',W'] view of the zero-padded input."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _windows(x, kh, kw, stride):
+    """[B,C,H,W] -> [B,C,kH,kW,H',W'] view."""
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return win.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _chunk_windows(x, n, kh, kw, stride, pad):
+    """A function (b0, b1) -> _windows of x[b0:b1] zero-padded by pad, for
+    chunks of up to n samples. With pad, each chunk is copied into the
+    interior of the function's own buffer, whose border stays zero."""
+    if not pad:
+        win = _windows(x, kh, kw, stride)
+        return lambda b0, b1: win[b0:b1]
+    _, c, h, w = x.shape
+    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    win = _windows(buf, kh, kw, stride)
+
+    def chunk(b0, b1):
+        buf[: b1 - b0, :, pad:-pad, pad:-pad] = x[b0:b1]
+        return win[: b1 - b0]
+
+    return chunk
 
 
 def _chunks(b, sample_bytes):
@@ -222,14 +369,18 @@ def _conv2d_native(x, kernel, stride, pad):
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
     rows = ci * kh * kw
     kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
-    win = _windows(x, kh, kw, stride, pad)
     out = np.empty((b, co, ho * wo), dtype=x.dtype)
     chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
-    buf = np.empty((n, rows, ho * wo), dtype=x.dtype)
-    for b0, b1 in chunks:
-        cols = buf[: b1 - b0]
-        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), win[b0:b1])
+
+    def scratch():
+        return np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad)
+
+    def job(_, b0, b1, bufs):
+        cols = bufs[0][: b1 - b0]
+        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), bufs[1](b0, b1))
         np.matmul(kmat, cols, out=out[b0:b1])
+
+    _run_chunks(chunks, scratch, job)
     return out.reshape(b, co, ho, wo)
 
 
@@ -247,18 +398,27 @@ def _conv2d_transposed_native(y, kernel, stride, pad):
     rows = ci * kh * kw
     kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
     yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
-    xp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype)
+    out = np.empty((b, ci, h, w), dtype=y.dtype)
     chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
-    buf = np.empty((n, rows, ho * wo), dtype=y.dtype)
-    for b0, b1 in chunks:
-        cols = np.matmul(kmat_t, yf[b0:b1], out=buf[: b1 - b0]).reshape(b1 - b0, ci, kh, kw, ho, wo)
-        dst = xp[b0:b1]
+
+    def scratch():
+        return (np.empty((n, rows, ho * wo), dtype=y.dtype),
+                np.empty((n, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype))
+
+    def job(_, b0, b1, bufs):
+        m = b1 - b0
+        cols = np.matmul(kmat_t, yf[b0:b1], out=bufs[0][:m]).reshape(m, ci, kh, kw, ho, wo)
+        xp = bufs[1][:m]
+        xp.fill(0)
         # col2im: each kernel offset's column block lands on a strided window
         for i in range(kh):
             rs = slice(i, i + (ho - 1) * stride + 1, stride)
             for j in range(kw):
-                dst[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
-    return xp[:, :, pad : pad + h, pad : pad + w]
+                xp[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
+        out[b0:b1] = xp[:, :, pad : pad + h, pad : pad + w]
+
+    _run_chunks(chunks, scratch, job)
+    return out
 
 
 def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
@@ -266,15 +426,26 @@ def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
     co, _, kh, kw = kernel_shape
     ho, wo = upstream.shape[2:]
     rows = ci * kh * kw
-    win = _windows(x, kh, kw, stride, pad)
-    grad = np.zeros((co, rows), dtype=x.dtype)
     chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
-    buf = np.empty(n * rows * ho * wo, dtype=x.dtype)
-    for b0, b1 in chunks:
+    # the even and the odd chunks sum, each in chunk order, into separate
+    # halves, added last. Dealt out even/odd, each half has one worker, and
+    # the result is the same for one worker and for two
+    halves = np.zeros((2, co, rows), dtype=x.dtype)
+
+    def scratch():
+        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
+                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((co, rows), dtype=x.dtype))
+
+    def job(i, b0, b1, bufs):
+        cbuf, windows, ubuf, part = bufs
         m = b1 - b0
         # batch on the GEMM's inner dimension: cols[C_in*k*k, m*H'*W']
-        cols = buf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
-        np.copyto(cols, win[b0:b1].transpose(1, 2, 3, 0, 4, 5))
-        u = upstream[b0:b1].transpose(1, 0, 2, 3).reshape(co, m * ho * wo).astype(x.dtype, copy=False)
-        grad += u @ cols.reshape(rows, m * ho * wo).T
-    return grad.reshape(kernel_shape)
+        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
+        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
+        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
+        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
+        np.matmul(u.reshape(co, m * ho * wo), cols.reshape(rows, m * ho * wo).T, out=part)
+        halves[i % 2] += part
+
+    _run_chunks(chunks, scratch, job, deal=True)
+    return (halves[0] + halves[1]).reshape(kernel_shape)

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import revnet
+from revnet import tensor
 from revnet.cli import main
 from revnet.data import load_composed, write_idx_images, write_idx_labels
 
@@ -91,6 +95,30 @@ class TestTrain:
         assert main(train_cmd(b, args)) == 0
         for name in ("metrics.csv", "checkpoint-final.rvnt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.skipif(tensor.blas_threads() is None, reason="no OpenBLAS found in this process")
+    def test_deterministic_conv_train_same_bytes_for_one_and_two_workers(self, tmp_path):
+        # with OpenBLAS pinned to one thread, REVNET_THREADS=2 splits the conv
+        # batch chunks over two workers and REVNET_THREADS=1 keeps one; the
+        # second conv's kernels run 4-7 chunks at batch 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(revnet.__file__)))
+        args = ["--deterministic", "--seed", "3",
+                "--override", "net.layers=conv:16:5,lrelu,pool:2,conv:32:5,lrelu,pool:2,dense:10,softmax",
+                "--override", "net.reverse_activation=inverse",
+                "--override", "train.w_rec=0.01"]
+        outs = {}
+        for threads in ("1", "2"):
+            env["REVNET_THREADS"] = threads
+            probe = "from revnet import tensor; tensor.set_threads(); print(tensor._conv_workers())"
+            workers = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                     capture_output=True, text=True, timeout=120).stdout.strip()
+            assert workers == threads
+            outs[threads] = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "revnet.cli"] + train_cmd(outs[threads], args),
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("metrics.csv", "checkpoint-final.rvnt"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
     def test_seconds_zeroed_only_when_deterministic(self, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,9 @@
 """Array-primitive checks against independent direct-loop oracles."""
 
+import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,20 +159,193 @@ def test_conv_kernels_keep_dtype(dtype, ci, co, stride):
 
 
 def test_set_threads_caps_the_loaded_blas(monkeypatch):
+    # the BLAS gets min(cap, the count it loaded with); the rest of the cap
+    # is left to the conv workers
     before = tensor.blas_threads()
     if before is None:
         pytest.skip("no OpenBLAS found in this process")
+    loaded = tensor._openblas()[2]
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, ""))
+    for name in ("_THREAD_BUDGET", "_CONV_WORKERS"):
+        monkeypatch.setattr(tensor, name, getattr(tensor, name))
     try:
         assert tensor.set_threads(1) == 1
         assert tensor.blas_threads() == 1
-        if (os.cpu_count() or 1) >= 2:
-            monkeypatch.setenv("REVNET_THREADS", "2")
-            assert tensor.set_threads() == 2
-            assert tensor.blas_threads() == 2
+        assert tensor._conv_workers() == 1
+        monkeypatch.setenv("REVNET_THREADS", "2")
+        assert tensor.set_threads() == 2
+        assert tensor.blas_threads() == min(2, loaded)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == str(min(2, loaded))
+        assert tensor._conv_workers() == 2 // min(2, loaded)
     finally:
         tensor.set_threads(before)
+
+
+@pytest.mark.parametrize("cpus,blas,budget,workers", [
+    ({0, 1}, 1, None, 2),  # BLAS pinned to one thread: the caller and the helper
+    ({0, 1}, 2, None, 1),  # BLAS threaded over both CPUs
+    ({0}, 1, None, 1),
+    ({0, 1, 2, 3}, 1, None, 2),  # never more than one helper
+    ({0, 1, 2, 3}, 1, 1, 1),  # set_threads(1), as --deterministic does
+    ({0, 1}, None, None, 1),  # a BLAS whose threads cannot be read
+])
+def test_conv_worker_rule(monkeypatch, cpus, blas, budget, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(tensor, "blas_threads", lambda: blas)
+    monkeypatch.setattr(tensor, "_THREAD_BUDGET", budget)
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", None)
+    assert tensor._conv_workers() == workers
+
+
+def conv_kernels(x, wts, g, stride, pad):
+    return (tensor.conv2d(x, wts, stride, pad),
+            tensor.conv2d_transposed(g, wts, stride, pad),
+            tensor.conv2d_weight_grad(x, g, wts.shape, stride, pad))
+
+
+# (C_in, C_out, H) of the small net's and the baseline net's 5x5 convs
+LAYER_SHAPES = [(1, 16, 28), (16, 32, 14), (3, 32, 32), (32, 32, 32),
+                (32, 64, 16), (64, 64, 16), (64, 128, 8), (128, 128, 8)]
+SPLIT_CASES = ([pytest.param(ci, co, h, w, k, stride, pad, id=f"geom-{stride}-{pad}-{h}-{w}-{k}-{ci}to{co}")
+                for stride, pad, h, w, k in GEOMETRIES for ci, co in CHANNELS]
+               + [pytest.param(ci, co, h, h, 5, 1, 2, id=f"layer-{ci}to{co}-{h}")
+                  for ci, co, h in LAYER_SHAPES])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,h,w,k,stride,pad", SPLIT_CASES)
+def test_two_workers_bit_identical_to_one(monkeypatch, dtype, ci, co, h, w, k, stride, pad):
+    # batch 5 in chunks of 2 samples (2, 2, 1): the weight gradient deals
+    # the middle chunk to the helper and sums three chunks
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    monkeypatch.setattr(tensor, "_COL_BYTES", 2 * ci * k * k * ho * wo * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((5, ci, h, w)).astype(dtype)
+    wts = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    g = rng.standard_normal((5, co, ho, wo)).astype(dtype)
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 1)
+    one = conv_kernels(x, wts, g, stride, pad)
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    two = conv_kernels(x, wts, g, stride, pad)
+    assert tensor._HELPER is not None
+    for a, b in zip(one, two):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("deal", [False, True], ids=["claimed", "dealt"])
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_exception_in_either_worker_reaches_the_caller(monkeypatch, failing, deal):
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    done = []
+
+    def job(i, b0, b1, bufs):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            failed.set()
+            raise ValueError(f"{failing} chunk {i}")
+        failed.wait(timeout=30)  # so the failing worker gets a chunk
+        done.append(i)
+
+    with pytest.raises(ValueError, match=failing):
+        tensor._run_chunks([(i, i + 1) for i in range(4)], lambda: None, job, deal)
+    # the failing worker stopped at its first chunk; the other ran every
+    # chunk left to it before the call returned
+    assert len(done) == len(set(done)) == (2 if deal else 3)
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4, 2, 6, 6))
+    wts = rng.standard_normal((3, 2, 3, 3))
+    assert np.allclose(tensor.conv2d(x, wts, 1, 1), conv2d_loops(x, wts, 1, 1), atol=1e-10)
+
+
+def test_one_cpu_budget_starts_no_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(tensor, "_THREAD_BUDGET", None)
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", None)
+    monkeypatch.setattr(tensor, "_HELPER", None)
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    threads = set(threading.enumerate())
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((4, 2, 6, 6))
+    wts = rng.standard_normal((3, 2, 3, 3))
+    conv_kernels(x, wts, tensor.conv2d(x, wts, 1, 1), 1, 1)
+    assert tensor._conv_workers() == 1
+    assert tensor._HELPER is None
+    assert set(threading.enumerate()) == threads
+
+
+def test_concurrent_callers_share_the_helper(monkeypatch):
+    # more calling threads than cores, switching often, each checking its
+    # results against the one-worker bits
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    rng = np.random.default_rng(17)
+    cases = [(rng.standard_normal((5, 3, 7, 7)), rng.standard_normal((4, 3, 3, 3)),
+              rng.standard_normal((5, 4, 7, 7))) for _ in range(4)]
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 1)
+    want = [conv_kernels(x, wts, g, 1, 1) for x, wts, g in cases]
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    bad = []
+
+    def caller(case, expected):
+        for _ in range(10):
+            got = conv_kernels(*case, 1, 1)
+            bad.extend(a.tobytes() != b.tobytes() for a, b in zip(got, expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=cw) for cw in zip(cases, want)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(bad) == 4 * 10 * 3 and not any(bad)
+
+
+def _conv_in_child(x, wts, results):
+    results.put(tensor.conv2d(x, wts, 1, 1))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_conv_in_forked_child_after_helper_ran(monkeypatch):
+    # the child inherits the helper's handle but not its thread
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((4, 2, 6, 6))
+    wts = rng.standard_normal((3, 2, 3, 3))
+    want = tensor.conv2d(x, wts, 1, 1)
+    assert tensor._HELPER is not None
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_conv_in_child, args=(x, wts, results))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ci,co", CHANNELS)
+def test_transposed_output_owns_no_padded_buffer(ci, co):
+    # both transposed paths, padded: the result is C-contiguous and holds
+    # no larger (padded) buffer alive
+    rng = np.random.default_rng(19)
+    y = rng.standard_normal((3, co, 6, 6))
+    out = tensor.conv2d_transposed(y, rng.standard_normal((co, ci, 5, 5)), 1, 2)
+    assert out.shape == (3, ci, 6, 6)
+    assert out.flags["C_CONTIGUOUS"]
+    assert out.base is None or out.base.nbytes == out.nbytes
 
 
 def test_conv2d_rejects_non_divisible_stride():
