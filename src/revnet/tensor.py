@@ -24,14 +24,13 @@ sample's columns, where those are larger):
 Padding also happens one chunk at a time, into a zero-bordered buffer.
 
 The chunks are shared between two workers, the calling thread and one
-persistent daemon helper thread, each with its own buffers, while every
-BLAS call stays as threaded as the BLAS is. In the forward and transposed
-kernels the workers claim chunks one at a time; the weight gradient deals
-the even chunks to the caller and the odd ones to the helper. The worker
-count is max(1, budget // BLAS threads), at most 2, where the budget is
-the set_threads cap (REVNET_THREADS in the CLI) or else the CPUs this
-process may run on. So a BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1)
-on two CPUs gets two workers, a BLAS threaded over every CPU gets one, and
+persistent helper thread, each with its own buffers, while every BLAS
+call stays as threaded as the BLAS is: the caller runs the even chunks
+and the helper the odd ones. The worker count is max(1, budget // BLAS
+threads), at most 2, where the budget is the set_threads cap
+(REVNET_THREADS in the CLI) or else the CPUs this process may run on. So
+a BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1) on two CPUs gets two
+workers, a BLAS threaded over every CPU gets one, and
 set_threads(1) (--deterministic) gets one. Forward and transposed chunks
 write disjoint output slices, and the weight gradient's two halves do not
 depend on who computed them, so all three kernels give the same bits for
@@ -43,13 +42,11 @@ identical and are pinned by the adjoint and direct-loop oracle tests.
 Select explicitly with REVNET_CONV_BACKEND={auto,torch,native}.
 """
 
-import contextvars
 import ctypes
 import functools
-import itertools
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,7 +148,7 @@ def conv_backend():
 
 _THREAD_BUDGET = None  # the set_threads cap; None: the CPUs this process may use
 _CONV_WORKERS = None  # from _conv_workers; None until first needed
-_HELPER = None  # the _Helper, started on first use
+_HELPER = None  # a one-thread ThreadPoolExecutor, started on first use
 _HELPER_LOCK = threading.Lock()
 
 
@@ -173,36 +170,11 @@ def _conv_workers():
     return _CONV_WORKERS
 
 
-class _Helper:
-    """A daemon thread that runs submitted jobs one at a time. Each job's
-    exception, or None, goes back through the job's own reply queue."""
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="revnet-conv-helper", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            job, reply = self._jobs.get()
-            try:
-                job()
-            except BaseException as exc:  # re-raised on the submitting thread
-                reply.put(exc)
-            else:
-                reply.put(None)
-            del job, reply  # hold no buffer between jobs
-
-    def submit(self, job):
-        reply = queue.SimpleQueue()
-        self._jobs.put((job, reply))
-        return reply
-
-
 def _helper():
     global _HELPER
     with _HELPER_LOCK:
         if _HELPER is None:
-            _HELPER = _Helper()
+            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="revnet-conv-helper")
         return _HELPER
 
 
@@ -216,34 +188,33 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_chunks(chunks, scratch, job, deal=False):
+def _run_chunks(chunks, scratch, job):
     """Call job(i, b0, b1, bufs) for every batch chunk i = (b0, b1), on up to
-    two workers, each with its own scratch() buffers. The workers claim the
-    chunks one at a time, in order, so a worker whose CPU is busy with
-    something else takes fewer of them; jobs must then write disjoint
-    outputs. With deal=True the caller runs the even chunks and the helper
-    thread the odd ones instead. Every buffer is allocated here, on the
-    caller: a heap of the helper thread's own would add its high-water mark
-    to the peak RSS."""
+    two workers, each with its own scratch() buffers: the caller runs the
+    even chunks and the helper thread the odd ones. Every buffer is
+    allocated here, on the caller: a heap of the helper thread's own would
+    add its high-water mark to the peak RSS."""
     workers = min(_conv_workers(), len(chunks))
-    claims = itertools.count()  # one next() is atomic under the GIL
 
     def run(first, bufs):
-        mine = range(first, len(chunks), workers) if deal else itertools.takewhile(len(chunks).__gt__, claims)
-        for i in mine:
+        for i in range(first, len(chunks), workers):
             job(i, *chunks[i], bufs)
 
     if workers == 1:
         run(0, scratch())
         return
-    # the helper runs in the caller's context, so np.errstate applies to both
-    reply = _helper().submit(functools.partial(contextvars.copy_context().run, run, 1, scratch()))
+    errs = np.geterr()  # np.errstate is per thread (numpy 1.x) or per context (2.x)
+
+    def helper_half(bufs):
+        with np.errstate(**errs):
+            run(1, bufs)
+
+    done = _helper().submit(helper_half, scratch())
     try:
         run(0, scratch())
     finally:
-        err = reply.get()
-    if err is not None:
-        raise err
+        done.exception()  # the helper's half ends before the caller's error propagates
+    done.result()
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +399,8 @@ def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
     rows = ci * kh * kw
     chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
-    # halves, added last. Dealt out even/odd, each half has one worker, and
-    # the result is the same for one worker and for two
+    # halves, added last. Each half has one worker, so the result is the
+    # same for one worker and for two
     halves = np.zeros((2, co, rows), dtype=x.dtype)
 
     def scratch():
@@ -447,5 +418,5 @@ def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
         np.matmul(u.reshape(co, m * ho * wo), cols.reshape(rows, m * ho * wo).T, out=part)
         halves[i % 2] += part
 
-    _run_chunks(chunks, scratch, job, deal=True)
+    _run_chunks(chunks, scratch, job)
     return (halves[0] + halves[1]).reshape(kernel_shape)

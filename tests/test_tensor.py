@@ -234,9 +234,8 @@ def test_two_workers_bit_identical_to_one(monkeypatch, dtype, ci, co, h, w, k, s
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("deal", [False, True], ids=["claimed", "dealt"])
 @pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_exception_in_either_worker_reaches_the_caller(monkeypatch, failing, deal):
+def test_exception_in_either_worker_reaches_the_caller(monkeypatch, failing):
     monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
     caller = threading.get_ident()
     failed = threading.Event()
@@ -250,15 +249,32 @@ def test_exception_in_either_worker_reaches_the_caller(monkeypatch, failing, dea
         done.append(i)
 
     with pytest.raises(ValueError, match=failing):
-        tensor._run_chunks([(i, i + 1) for i in range(4)], lambda: None, job, deal)
-    # the failing worker stopped at its first chunk; the other ran every
-    # chunk left to it before the call returned
-    assert len(done) == len(set(done)) == (2 if deal else 3)
+        tensor._run_chunks([(i, i + 1) for i in range(4)], lambda: None, job)
+    # the failing worker stopped at its first chunk; the other ran both of
+    # its chunks before the call returned
+    assert sorted(done) == ([1, 3] if failing == "caller" else [0, 2])
     monkeypatch.setattr(tensor, "_COL_BYTES", 1)
     rng = np.random.default_rng(15)
     x = rng.standard_normal((4, 2, 6, 6))
     wts = rng.standard_normal((3, 2, 3, 3))
     assert np.allclose(tensor.conv2d(x, wts, 1, 1), conv2d_loops(x, wts, 1, 1), atol=1e-10)
+
+
+def test_errstate_applies_to_the_helpers_half(monkeypatch):
+    # an overflow in the helper's chunk raises under the caller's errstate
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    ran_on = []
+
+    def job(i, b0, b1, bufs):
+        if i == 1:
+            ran_on.append(threading.get_ident())
+            np.full(1, 3e38, np.float32) * np.float32(10)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        tensor._run_chunks([(0, 1), (1, 2)], lambda: None, job)
+    assert ran_on and ran_on[0] != threading.get_ident()
+    with np.errstate(over="ignore"):
+        tensor._run_chunks([(0, 1), (1, 2)], lambda: None, job)
 
 
 def test_one_cpu_budget_starts_no_helper(monkeypatch):
