@@ -166,6 +166,7 @@ def _apply_common(args, values):
 
 
 def _setup_runtime(deterministic):
+    # main undoes this on return (tensor.threads_restored)
     if tensor.set_threads() is None and deterministic:
         tensor.set_threads(1)
 
@@ -346,9 +347,12 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; returns its exit code. Any thread cap the command
+    sets (REVNET_THREADS, --deterministic) lasts only until it returns."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with tensor.threads_restored():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

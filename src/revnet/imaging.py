@@ -2,7 +2,9 @@
 grids for reconstructions, and heat strips for likelihood and latent
 vectors. Everything is uint8; pane values are mapped by an affine
 [min,max] -> [0,255] rescale (constant panes map to 0), likelihoods by
-an absolute [0,1] scale since they live on the simplex.
+an absolute [0,1] scale since they live on the simplex. Grids are built
+for the whole batch in one pass: every pane of every sample is rescaled
+at once, and the panes are written into one canvas.
 """
 
 import numpy as np
@@ -10,13 +12,17 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 
-def to_u8(pane):
-    """Affine [min,max] -> [0,255] per pane; a constant pane maps to 0."""
-    pane = np.asarray(pane, dtype=np.float64)
-    lo, hi = pane.min(), pane.max()
-    if hi <= lo:
-        return np.zeros(pane.shape, dtype=np.uint8)
-    return np.clip(np.rint((pane - lo) * (255.0 / (hi - lo))), 0, 255).astype(np.uint8)
+def to_u8(panes):
+    """Affine [min,max] -> [0,255] per pane, a pane being the last two
+    axes, in float64; a constant pane maps to 0."""
+    panes = np.asarray(panes, dtype=np.float64)
+    lo = panes.min(axis=(-2, -1), keepdims=True)
+    hi = panes.max(axis=(-2, -1), keepdims=True)
+    flat = hi <= lo
+    scale = 255.0 / np.where(flat, 1.0, hi - lo)
+    u8 = np.clip(np.rint((panes - lo) * scale), 0, 255).astype(np.uint8)
+    u8[np.broadcast_to(flat, u8.shape)] = 0
+    return u8
 
 
 def unit_to_u8(pane):
@@ -25,98 +31,77 @@ def unit_to_u8(pane):
 
 
 def chw_pane(img, mapper=to_u8):
-    """[C,H,W] float -> [H,W] (C=1) or [H,W,3] (C=3) uint8."""
-    if img.ndim != 3 or img.shape[0] not in (1, 3):
+    """[..., C, H, W] float -> [..., H, W] (C=1) or [..., H, W, 3] (C=3)
+    uint8, each channel mapped as its own pane."""
+    if img.ndim < 3 or img.shape[-3] not in (1, 3):
         raise ShapeError(f"pane wants [1|3,H,W], got {img.shape}")
-    if img.shape[0] == 1:
-        return mapper(img[0])
-    return np.stack([mapper(img[c]) for c in range(3)], axis=-1)
+    u8 = mapper(img)
+    return u8[..., 0, :, :] if img.shape[-3] == 1 else np.moveaxis(u8, -3, -1)
 
 
 def likelihood_strip(vec, height, cell=8):
-    """One grayscale cell per class, absolute-scaled."""
-    u8 = unit_to_u8(np.asarray(vec).reshape(-1))
-    return np.repeat(np.repeat(u8[None, :], height, axis=0), cell, axis=1)
+    """One grayscale cell per class, absolute-scaled: [..., n] -> [...,
+    height, n*cell]."""
+    u8 = unit_to_u8(vec)[..., None, :]
+    return np.repeat(np.repeat(u8, height, axis=-2), cell, axis=-1)
 
 
 def vector_strip(vec, height):
-    """Latent vector as a 1px-per-entry strip, min/max scaled."""
-    u8 = to_u8(np.asarray(vec).reshape(1, -1))
-    return np.repeat(u8, height, axis=0)
+    """Latent vector as a 1px-per-entry strip, min/max scaled: [..., n] ->
+    [..., height, n]."""
+    return np.repeat(to_u8(np.asarray(vec)[..., None, :]), height, axis=-2)
 
 
-def _is_color(p):
-    return p.ndim == 3
+def grid(panes, sep=1, sep_value=0):
+    """Per-sample panes [B,H,w] (gray) or [B,H,w,3] (color) side by side,
+    one row per sample, with sep-wide separators between panes and rows.
+    Gray panes next to a color one are repeated over its three channels."""
+    if not panes:
+        raise ShapeError("no panes")
+    b, h = panes[0].shape[:2]
+    if b == 0:
+        raise ShapeError("no rows")
+    if any(p.shape[:2] != (b, h) for p in panes):
+        raise ShapeError("pane heights differ")
+    color = any(p.ndim == 4 for p in panes)
+    width = sum(p.shape[2] for p in panes) + sep * (len(panes) - 1)
+    canvas = np.full((b, h + sep, width) + ((3,) if color else ()), sep_value, dtype=np.uint8)
+    x = 0
+    for p in panes:
+        w = p.shape[2]
+        canvas[:, :h, x : x + w] = p[..., None] if color and p.ndim == 3 else p
+        x += w + sep
+    return canvas.reshape(b * (h + sep), *canvas.shape[2:])[: b * (h + sep) - sep]
 
 
 def hstack_panes(panes, sep=1, sep_value=0):
     """Concatenate panes left to right with sep-wide separator columns."""
-    if not panes:
-        raise ShapeError("no panes")
-    h = panes[0].shape[0]
-    if any(p.shape[0] != h for p in panes):
-        raise ShapeError("pane heights differ")
-    color = any(_is_color(p) for p in panes)
-    norm = []
-    for p in panes:
-        if color and not _is_color(p):
-            p = np.stack([p] * 3, axis=-1)
-        norm.append(p)
-    sep_shape = (h, sep, 3) if color else (h, sep)
-    sep_block = np.full(sep_shape, sep_value, dtype=np.uint8)
-    out = []
-    for i, p in enumerate(norm):
-        if i:
-            out.append(sep_block)
-        out.append(p)
-    return np.concatenate(out, axis=1)
+    return grid([p[None] for p in panes], sep, sep_value)
 
 
 def vstack_rows(rows, sep=1, sep_value=0):
-    if not rows:
-        raise ShapeError("no rows")
-    w = rows[0].shape[1]
-    if any(r.shape[1] != w for r in rows):
-        raise ShapeError("row widths differ")
-    color = any(_is_color(r) for r in rows)
-    norm = []
-    for r in rows:
-        if color and not _is_color(r):
-            r = np.stack([r] * 3, axis=-1)
-        norm.append(r)
-    sep_shape = (sep, w, 3) if color else (sep, w)
-    sep_block = np.full(sep_shape, sep_value, dtype=np.uint8)
-    out = []
-    for i, r in enumerate(norm):
-        if i:
-            out.append(sep_block)
-        out.append(r)
-    return np.concatenate(out, axis=0)
+    """Stack rows top to bottom with sep-tall separator rows: the rows,
+    transposed, are the panes of a one-sample grid."""
+    panes = [np.swapaxes(r, 0, 1)[None] for r in rows]
+    return np.swapaxes(grid(panes, sep, sep_value), 0, 1)
 
 
 def reconstruction_grid(inputs, recons):
     """One row per sample: [input | reconstruction], 1px separators."""
-    rows = [
-        hstack_panes([chw_pane(inputs[i]), chw_pane(recons[i])])
-        for i in range(inputs.shape[0])
-    ]
-    return vstack_rows(rows)
+    return grid([chw_pane(inputs), chw_pane(recons)])
 
 
 def generation_grid(inputs, o, tr_o, alphas, recons):
     """Five panes per sample: input, likelihood, transformed likelihood,
     latent strip, reconstruction of the latent."""
-    rows = []
-    for i in range(inputs.shape[0]):
-        h = inputs.shape[2]
-        rows.append(hstack_panes([
-            chw_pane(inputs[i]),
-            likelihood_strip(o[i], h),
-            likelihood_strip(tr_o[i], h),
-            vector_strip(alphas[i], h),
-            chw_pane(recons[i]),
-        ]))
-    return vstack_rows(rows)
+    h = inputs.shape[2]
+    return grid([
+        chw_pane(inputs),
+        likelihood_strip(o, h),
+        likelihood_strip(tr_o, h),
+        vector_strip(alphas.reshape(len(alphas), -1), h),
+        chw_pane(recons),
+    ])
 
 
 # -- PNM files --------------------------------------------------------------

@@ -18,6 +18,13 @@ reverse_backward is the adjoint of reverse: it propagates an upstream
 gradient arriving at the reconstruction back toward the likelihood end of
 the chain, collecting parameter gradients from the tied usage on the way.
 
+Ownership: no op writes into the arrays it is given, and no layer caches
+its own output except SoftmaxHead, whose cache is its output o. The ops
+of a layer with takes_out (LeakyRelu) also accept out=, numpy's idiom,
+and write their result there. The network's walkers pass an op its own
+input as out when nothing else refers to that array (see
+ReversibleNetwork._forward); called directly, every op is out of place.
+
 Layers hold their parameters (W, b) but no optimizer state: momentum lives
 on the network and training.sgd_update applies the step. token() writes a
 layer back as its NetworkSpec DSL token, the form checkpoints store.
@@ -56,6 +63,8 @@ class ReverseConfig:
 class Layer:
     kind = "layer"
     has_params = False
+    # the four ops take out= and can write their result into their input
+    takes_out = False
 
     def out_shape_for(self, in_shape):
         raise NotImplementedError
@@ -243,9 +252,16 @@ class LeakyRelu(Layer):
     scaled branch, and the caches keep the sign mask x >= 0 (one byte per
     element), from which the gradient factor m + (1 - m)*slope is built,
     exactly 1 or slope.
+
+    Every op takes out=, numpy's idiom: its result is written into out,
+    which may be its own input, or into a fresh array when out is None.
+    Either way the op runs block by block through one small scratch block
+    (tensor.blockwise), with the same ufuncs in the same order, so the bits
+    do not depend on out.
     """
 
     kind = "lrelu"
+    takes_out = True
 
     def __init__(self, slope=0.01):
         if slope <= 0:
@@ -258,44 +274,53 @@ class LeakyRelu(Layer):
     def out_shape_for(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, out=None):
         s = x.dtype.type(self.slope)
-        return _leaky(x, x * s, s), x >= 0
+        mask = x >= 0
+        return _leaky(x, np.multiply, s, s, out), mask
 
-    def backward(self, g, cache):
-        return _scale_negatives(g, cache, g.dtype.type(self.slope)), None
+    def backward(self, g, cache, out=None):
+        return _scale_negatives(g, cache, g.dtype.type(self.slope), out), None
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
+    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, out=None):
         mode = rcfg.activation if rcfg is not None else "inverse"
         s = v.dtype.type(self.slope)
+        mask = v >= 0
         if mode == "forward":
-            branch, factor = v * s, s
-        else:
-            branch, factor = v / s, v.dtype.type(1) / s
-        return _leaky(v, branch, factor), (v >= 0, factor)
+            return _leaky(v, np.multiply, s, s, out), (mask, s)
+        factor = v.dtype.type(1) / s
+        return _leaky(v, np.divide, s, factor, out), (mask, factor)
 
-    def reverse_backward(self, g, rcache):
+    def reverse_backward(self, g, rcache, out=None):
         mask, factor = rcache
-        return _scale_negatives(g, mask, factor), None
+        return _scale_negatives(g, mask, factor, out), None
 
 
-def _leaky(x, branch, factor):
-    """x where x >= 0, else branch (x scaled by factor), written into
-    branch: the two meet at 0, so that is their max for factor <= 1 and
+def _leaky(x, scale, s, factor, out):
+    """x where x >= 0, else the branch scale(x, s), which is x scaled by
+    factor: the two meet at 0, so that is their max for factor <= 1 and
     their min above."""
     pick = np.maximum if factor <= 1 else np.minimum
-    return pick(branch, x, out=branch)
+
+    def block(o, xb, t):
+        scale(xb, s, out=t)
+        pick(t, xb, out=o)
+
+    return tensor.blockwise(block, out, x)
 
 
-def _scale_negatives(g, mask, factor):
+def _scale_negatives(g, mask, factor, out):
     """g where mask, else g*factor, as g*(m + (1 - m)*factor) with m the
     mask as 0/1: for a finite factor exactly 1 or `factor`, with no branch
     taken."""
-    f = np.subtract(1, mask, dtype=g.dtype)
-    f *= factor
-    f += mask
-    f *= g
-    return f
+
+    def block(o, gb, mb, t):
+        np.subtract(1, mb, out=t, dtype=t.dtype)
+        t *= factor
+        t += mb
+        np.multiply(t, gb, out=o)
+
+    return tensor.blockwise(block, out, g, mask)
 
 
 class MaxPool(Layer):

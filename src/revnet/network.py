@@ -15,9 +15,13 @@ Dense + head) share one forward walker, so the two agree bit-for-bit on
 shared inputs. backward_from_logits, one_step_adjoint and reverse_adjoint
 share one adjoint walker: it calls backward or reverse_backward over a
 span of layers and adds each parameter gradient into the per-layer
-accumulator acc[i][name], routing the reverse step's "b_prev" gradient
-to the previous parameterized layer's bias. The momentum state for the
-update lives here too, in velocity[i][name].
+accumulator acc[i][name], in place, routing the reverse step's "b_prev"
+gradient to the previous parameterized layer's bias. The momentum state
+for the update lives here too, in velocity[i][name].
+
+Every walk leaves the arrays its caller passed in unchanged; the arrays
+made inside the walk are written in place where nothing else refers to
+them (see _forward).
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +91,11 @@ def transform_likelihood(o, cfg, rng):
     return transform_likelihood_with_pre(o, cfg, rng)[1]
 
 
+def _out(layer, v, owned):
+    """out=v for a layer that can write its result into v, if the walk owns v."""
+    return {"out": v} if owned and layer.takes_out else {}
+
+
 class ReversibleNetwork:
     """Ordered layer stack with tied forward/reverse parameter use."""
 
@@ -101,6 +110,8 @@ class ReversibleNetwork:
         for layer in self.layers:
             self.shapes.append(layer.out_shape_for(self.shapes[-1]))
         self.has_head = isinstance(self.layers[-1], SoftmaxHead)
+        if any(isinstance(l, SoftmaxHead) for l in self.layers[:-1]):
+            raise ConfigError("a softmax head must be the last layer")
         self.final_dense_idx = None
         for i in range(len(self.layers) - 1, -1, -1):
             if isinstance(self.layers[i], Dense):
@@ -146,27 +157,46 @@ class ReversibleNetwork:
     def _forward(self, v, lo=0):
         """Run layers[lo:] forward from v. Returns (output, alpha, caches):
         alpha is the final Dense layer's input (None if the span starts
-        past it), caches[i] layer i's cache (None outside the span)."""
+        past it), caches[i] layer i's cache (None outside the span).
+
+        Ownership, the same in all three walkers (_forward, _reverse_span,
+        _adjoint): the walk's first op receives the caller's array and
+        never writes it. Every later op receives the output of the op
+        before it. No cache refers to that array, because no layer caches
+        its own output except SoftmaxHead, and SoftmaxHead is the last
+        layer, so the last forward op. So the walk owns it, and hands it to
+        a layer with takes_out (LeakyRelu) as out=, which writes its result
+        there. The caller's x, o, latent and upstream gradients, and every
+        cache and trace entry, stay as they were."""
         caches = [None] * len(self.layers)
         alpha = None
         for i in range(lo, len(self.layers)):
             if i == self.final_dense_idx:
                 alpha = v
-            v, caches[i] = self.layers[i].forward(v)
+            layer = self.layers[i]
+            v, caches[i] = layer.forward(v, **_out(layer, v, i > lo))
         return v, alpha, caches
 
     def _adjoint(self, g, order, op, caches, acc):
         """Walk the layers in `order`, calling each one's `op` ("backward"
         or "reverse_backward") on its cache and adding the parameter
         gradients into acc; a "b_prev" gradient belongs to the previous
-        parameterized layer's bias. Returns the gradient at the span's end."""
-        for i in order:
+        parameterized layer's bias. Returns the gradient at the span's end.
+
+        An entry of acc is the first gradient its layer made for it, and
+        later ones are added into it in place; g is passed on as in
+        _forward."""
+        for k, i in enumerate(order):
             if caches[i] is None:
                 raise StateError(f"missing {op} cache for layer {i}")
-            g, grads = getattr(self.layers[i], op)(g, caches[i])
+            layer = self.layers[i]
+            g, grads = getattr(layer, op)(g, caches[i], **_out(layer, g, k > 0))
             for name, val in (grads or {}).items():
                 j, name = (self._prev_param[i], "b") if name == "b_prev" else (i, name)
-                acc[j][name] = acc[j][name] + val if name in acc[j] else val
+                if name in acc[j]:
+                    acc[j][name] += val
+                else:
+                    acc[j][name] = val
         return g
 
     # -- forward ----------------------------------------------------------
@@ -191,7 +221,8 @@ class ReversibleNetwork:
     # -- reverse ----------------------------------------------------------
 
     def _reverse_span(self, v, hi, lo, trace, want_caches):
-        """Reverse layers[lo:hi] (applied in reversed order) starting from v."""
+        """Reverse layers[lo:hi] (applied in reversed order) starting from
+        v, passing arrays as _forward does."""
         rcaches = [None] * len(self.layers)
         for i in range(hi - 1, lo - 1, -1):
             layer = self.layers[i]
@@ -201,7 +232,7 @@ class ReversibleNetwork:
                 if j is not None:
                     bias_prev = self.layers[j].b
             entry = trace[i] if trace is not None else None
-            v, rc = layer.reverse(v, bias_prev, entry, self.rcfg)
+            v, rc = layer.reverse(v, bias_prev, entry, self.rcfg, **_out(layer, v, i < hi - 1))
             if want_caches:
                 rcaches[i] = rc
         return (v, rcaches) if want_caches else v

@@ -97,12 +97,17 @@ def sgd_update(net, acc, lr, cfg):
     cfg.clip_grad_norm > 0, the gradients are scaled down to that global
     L2 norm. Every new velocity is computed and every new parameter checked
     finite (else NumericError) before the first one is written. Velocity
-    lives in net.velocity[i][name], zero until first use.
+    lives in net.velocity[i][name], zero until first use. acc is only read.
+
+    Each parameter gets one new array, its velocity; the rest of the chain
+    runs block by block through one scratch block (tensor.blockwise), with
+    the same ops in the same order as on whole arrays, so the same bits.
     """
     for i, entry in enumerate(acc):
         for name, g in entry.items():
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient {name} of layer {i} ({net.layers[i]!r})")
+    scale = None
     if cfg.clip_grad_norm > 0:
         total = 0.0
         for entry in acc:
@@ -111,21 +116,24 @@ def sgd_update(net, acc, lr, cfg):
         total = np.sqrt(total)
         if total > cfg.clip_grad_norm:
             scale = cfg.clip_grad_norm / total
-            for entry in acc:
-                for name, g in entry.items():
-                    entry[name] = g * g.dtype.type(scale)
     steps = []
     for i, entry in enumerate(acc):
         layer, vel = net.layers[i], net.velocity[i]
         for name, g in entry.items():
             p = getattr(layer, name)
-            step = p * g.dtype.type(cfg.weight_decay)
-            step += g
-            step *= g.dtype.type(lr)
-            v = vel[name] * g.dtype.type(cfg.momentum) if name in vel else np.zeros_like(p)
-            v -= step
-            if not np.all(np.isfinite(np.add(p, v, out=step))):
-                raise NumericError(f"update makes parameter {name} of layer {i} ({layer!r}) non-finite")
+            f = g.dtype.type
+            wd, rate, g_scale = f(cfg.weight_decay), f(lr), None if scale is None else f(scale)
+            v = vel[name] * f(cfg.momentum) if name in vel else np.zeros_like(p)
+
+            def block(vb, pb, gb, step, gs):
+                np.multiply(pb, wd, out=step)
+                step += gb if g_scale is None else np.multiply(gb, g_scale, out=gs)
+                step *= rate
+                vb -= step
+                if not np.all(np.isfinite(np.add(pb, vb, out=step))):
+                    raise NumericError(f"update makes parameter {name} of layer {i} ({layer!r}) non-finite")
+
+            tensor.blockwise(block, v, p, g, scratch=2)
             steps.append((vel, name, v, p))
     for vel, name, v, p in steps:
         vel[name] = v
@@ -135,6 +143,15 @@ def sgd_update(net, acc, lr, cfg):
 def train_step(net, batch, cfg, rng, epoch=0):
     """One Algorithm-style step on (x, labels); applies the update in place
     and returns the pre-update LossReport plus the batch error count."""
+    rep, mis, acc = _step_gradients(net, batch, cfg, rng, epoch)
+    sgd_update(net, acc, lr_at(epoch, cfg), cfg)
+    return rep, mis
+
+
+def _step_gradients(net, batch, cfg, rng, epoch):
+    """The summed gradients of one step, with its LossReport and error
+    count. Every activation and cache of the step is freed on return, so
+    none of them is alive during the update."""
     x, labels = batch
     target = one_hot(labels, net.layers[net.final_dense_idx].out_features, dtype=x.dtype)
     acc = net.new_grad_acc()
@@ -171,9 +188,7 @@ def train_step(net, batch, cfg, rng, epoch=0):
         raise NumericError(
             f"non-finite loss (cls={rep.cls} rec={rep.rec} gen={rep.gen}); aborting"
         )
-
-    sgd_update(net, acc, lr_at(epoch, cfg), cfg)
-    return rep, mis
+    return rep, mis, acc
 
 
 def confusion_counts(labels, preds, n_classes):

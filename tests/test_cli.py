@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import revnet
-from revnet import tensor
+from revnet import cli, tensor
 from revnet.cli import main
 from revnet.data import load_composed, write_idx_images, write_idx_labels
 
@@ -119,6 +119,43 @@ class TestTrain:
                            env=env, check=True, capture_output=True, timeout=300)
         for name in ("metrics.csv", "checkpoint-final.rvnt"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_deterministic_command_restores_thread_state(self, tmp_path, monkeypatch, fails):
+        # --deterministic caps the threads at one for the command only, on
+        # success and on a data error raised after the cap
+        monkeypatch.delenv("REVNET_THREADS", raising=False)
+        monkeypatch.setattr(tensor, "_THREAD_BUDGET", None)
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", None)
+        for var in tensor._THREAD_ENV:
+            monkeypatch.setenv(var, "2")
+        api = tensor._openblas()
+        blas0 = tensor.blas_threads()
+        if api is not None:
+            api[0](min(2, api[2]))  # so the cap to one is visible where the BLAS allows
+        during = []
+        resolve = cli.resolve_dataset_pair
+
+        def spy(values):
+            during.append((tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers()))
+            return resolve(values)
+
+        monkeypatch.setattr(cli, "resolve_dataset_pair", spy)
+        extra = ["--deterministic"]
+        if fails:
+            os.makedirs(tmp_path / "empty")
+            extra += ["--override", "data.kind=mnist", "--override", f"data.root={tmp_path / 'empty'}"]
+        try:
+            before = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers(),
+                      [os.environ[v] for v in tensor._THREAD_ENV])
+            assert main(train_cmd(tmp_path / "run", extra)) == (3 if fails else 0)
+            after = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers(),
+                     [os.environ[v] for v in tensor._THREAD_ENV])
+        finally:
+            if api is not None:
+                api[0](blas0)
+        assert during == [(1, None if api is None else 1, 1)]
+        assert after == before
 
     def test_seconds_zeroed_only_when_deterministic(self, tmp_path):
         out = tmp_path / "run"

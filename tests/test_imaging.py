@@ -120,6 +120,94 @@ class TestGrids:
         assert grid.shape == (8 * 2 + 1, width)
 
 
+def per_sample_u8(pane):
+    """The per-pane rescale as it ran one [H,W] pane at a time."""
+    pane = np.asarray(pane, dtype=np.float64)
+    lo, hi = pane.min(), pane.max()
+    if hi <= lo:
+        return np.zeros(pane.shape, dtype=np.uint8)
+    return np.clip(np.rint((pane - lo) * (255.0 / (hi - lo))), 0, 255).astype(np.uint8)
+
+
+def per_sample_pane(img):
+    if img.shape[0] == 1:
+        return per_sample_u8(img[0])
+    return np.stack([per_sample_u8(img[c]) for c in range(3)], axis=-1)
+
+
+def per_sample_rows(panes_per_sample):
+    """Panes of each sample side by side, rows stacked, 1px black
+    separators, gray panes promoted next to color ones."""
+    rows = []
+    for panes in panes_per_sample:
+        color = any(p.ndim == 3 for p in panes)
+        parts = []
+        for p in panes:
+            if color and p.ndim == 2:
+                p = np.stack([p] * 3, axis=-1)
+            if parts:
+                parts.append(np.zeros((p.shape[0], 1) + p.shape[2:], dtype=np.uint8))
+            parts.append(p)
+        rows.append(np.concatenate(parts, axis=1))
+    out = []
+    for r in rows:
+        if out:
+            out.append(np.zeros((1,) + r.shape[1:], dtype=np.uint8))
+        out.append(r)
+    return np.concatenate(out, axis=0)
+
+
+def per_sample_strip(vec, h, cell=None):
+    if cell is None:
+        u8 = per_sample_u8(np.asarray(vec).reshape(1, -1))
+        return np.repeat(u8, h, axis=0)
+    u8 = np.clip(np.rint(np.asarray(vec, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
+    return np.repeat(np.repeat(u8[None, :], h, axis=0), cell, axis=1)
+
+
+class TestBatchedGridsMatchPerSample:
+    """The grids built in one pass equal, byte for byte, the grids built
+    one sample and one pane at a time."""
+
+    @staticmethod
+    def maps(rng, channels, dtype):
+        x = rng.normal(size=(4, channels, 6, 5)) * 3
+        x[1, 0] = 0.7  # a constant pane
+        x[2, -1, :2] = x[2, -1].max()  # ties at the top
+        x[3] = np.round(x[3])  # ties everywhere, signed zeros
+        x[3][x[3] == 0] = -0.0
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_reconstruction_grid(self, channels, dtype):
+        rng = np.random.default_rng(channels)
+        x, xbar = self.maps(rng, channels, dtype), self.maps(rng, channels, dtype)[::-1]
+        want = per_sample_rows([[per_sample_pane(a), per_sample_pane(b)] for a, b in zip(x, xbar)])
+        got = reconstruction_grid(x, xbar)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_generation_grid(self, channels):
+        rng = np.random.default_rng(10 + channels)
+        x, xbar = self.maps(rng, channels, np.float32), self.maps(rng, channels, np.float32)
+        o = rng.dirichlet(np.ones(5), size=4).astype(np.float32)
+        tr = rng.dirichlet(np.ones(5), size=4).astype(np.float32)
+        alphas = rng.normal(size=(4, 2, 3, 2)).astype(np.float32)
+        alphas[0] = 1.5  # a constant latent
+        want = per_sample_rows([
+            [per_sample_pane(x[i]), per_sample_strip(o[i], 6, 8), per_sample_strip(tr[i], 6, 8),
+             per_sample_strip(alphas[i], 6), per_sample_pane(xbar[i])]
+            for i in range(4)
+        ])
+        got = generation_grid(x, o, tr, alphas, xbar)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ShapeError):
+            reconstruction_grid(np.zeros((0, 1, 4, 4)), np.zeros((0, 1, 4, 4)))
+
+
 class TestPnmFiles:
     def test_pgm_header_oracle(self, tmp_path):
         arr = np.arange(12, dtype=np.uint8).reshape(3, 4)

@@ -6,6 +6,7 @@ central differences at h=1e-5."""
 import numpy as np
 import pytest
 
+from revnet import tensor
 from revnet.errors import DomainError, NumericError, ShapeError
 from revnet.layers import (
     Conv,
@@ -423,6 +424,70 @@ def test_lrelu_matches_where_formulas(slope, dtype):
         gv, _ = layer.reverse_backward(g, rcache)
         assert np.array_equal(gv, g * np.where(x >= 0, one, factor))
         assert v.dtype == gv.dtype == dtype
+
+
+def lrelu_whole_array(x, g, slope, mode):
+    """The LeakyRelu ops as they ran on whole arrays before they took
+    out=: (forward or reverse value, its mask, its adjoint applied to g)."""
+    s = x.dtype.type(slope)
+    if mode == "forward":
+        branch, factor = x * s, s
+    else:
+        branch, factor = x / s, x.dtype.type(1) / s
+    pick = np.maximum if factor <= 1 else np.minimum
+    y = pick(branch, x, out=branch)
+    mask = x >= 0
+    f = np.subtract(1, mask, dtype=g.dtype)
+    f *= factor
+    f += mask
+    f *= g
+    return y, mask, f
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("size", [1, 37, 64, 203])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.01, 0.3, 2.0])
+def test_lrelu_out_matches_whole_array_ops(slope, dtype, size, monkeypatch):
+    # 16-element scratch blocks, so every size but 1 spans several blocks
+    # and 37 and 203 end in a partial one
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 16 * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(size)
+    big, tiny = np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, big, -big, tiny, -tiny, 3 * tiny]
+    x = np.resize(np.concatenate([specials, 3 * rng.standard_normal(size)]), size)
+    g = np.resize(np.concatenate([specials[::-1], rng.standard_normal(size)]), size)
+    x, g = x.astype(dtype).reshape(size, 1, 1), g.astype(dtype).reshape(size, 1, 1)
+    layer = LeakyRelu(slope)
+    ops = {  # name: (op, its adjoint, the whole-array mode)
+        "forward": (layer.forward, layer.backward, "forward"),
+        "reverse-forward": (
+            lambda v, out=None: layer.reverse(v, rcfg=ReverseConfig(activation="forward"), out=out),
+            layer.reverse_backward, "forward"),
+        "reverse-inverse": (
+            lambda v, out=None: layer.reverse(v, rcfg=ReverseConfig(activation="inverse"), out=out),
+            layer.reverse_backward, "inverse"),
+    }
+    x0, g0 = x.copy(), g.copy()
+    for name, (op, adjoint, mode) in ops.items():
+        y_want, mask_want, g_want = lrelu_whole_array(x, g, slope, mode)
+        y, cache = op(x)
+        v = x.copy()
+        y_own, cache_own = op(v, out=v)
+        assert y_own is v
+        assert bits(y) == bits(y_own) == bits(y_want), name
+        for c in (cache, cache_own):
+            assert bits(c if name == "forward" else c[0]) == bits(mask_want), name
+        gx, _ = adjoint(g, cache)
+        h = g.copy()
+        gx_own, _ = adjoint(h, cache, out=h)
+        assert gx_own is h
+        assert bits(gx) == bits(gx_own) == bits(g_want), name
+        assert bits(x) == bits(x0) and bits(g) == bits(g0), name
 
 
 def pool_loop(x, k):

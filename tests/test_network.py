@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revnet.errors import ConfigError, DomainError, ShapeError, StateError
-from revnet.layers import Dense, LeakyRelu, ReverseConfig
+from revnet.layers import Dense, LeakyRelu, ReverseConfig, SoftmaxHead
 from revnet.network import (
     ARCHITECTURES,
     NetworkSpec,
@@ -145,6 +145,12 @@ class TestConstruction:
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ConfigError):
             ReversibleNetwork([], (1, 8, 8))
+
+    def test_softmax_head_only_last(self):
+        # the walkers write into a layer's output in place, which only the
+        # head's cache may hold, so nothing may follow the head
+        with pytest.raises(ConfigError):
+            ReversibleNetwork([Dense(4, 4), SoftmaxHead(), LeakyRelu()], (4,))
 
     def test_shape_chaining(self):
         net = small_cnn_spec((1, 28, 28), 10).build()
@@ -368,3 +374,110 @@ class TestExactRoundTrip:
         o, _, trace = net.feed_forward(x)
         xbar = net.feed_backward(o, trace=trace)
         assert np.max(np.abs(xbar - x)) < 1e-9
+
+
+def snapshot(obj):
+    """A deep copy of nested tuples, lists and arrays, for byte-equality
+    checks after a walk."""
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(snapshot(o) for o in obj)
+    return obj
+
+
+def assert_same(a, b):
+    if isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(b, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+OWNERSHIP_NETS = {
+    # the small conv net: lrelu after each conv and after the first dense
+    "small": lambda rcfg: small_net(1, rcfg),
+    # lrelu first (on the caller's x), twice in a row, and right before
+    # the final dense (on the caller's latent in reverse_from_latent)
+    "lrelu-chain": lambda rcfg: NetworkSpec(
+        (12,), 4, ["lrelu:0.2", "dense:8", "lrelu:0.2", "lrelu:0.5", "dense:4", "softmax"]
+    ).build(np.random.default_rng(2), dtype=np.float64, rcfg=rcfg),
+}
+
+
+@pytest.mark.parametrize("activation", ["inverse", "forward"])
+@pytest.mark.parametrize("pool", ["upsample", "unpool"])
+@pytest.mark.parametrize("arch", sorted(OWNERSHIP_NETS))
+class TestOwnership:
+    """Every walk leaves the caller's arrays, its caches and the forward
+    trace byte-equal, and writing in place changes no result."""
+
+    def setup_net(self, arch, pool, activation):
+        net = OWNERSHIP_NETS[arch](ReverseConfig(activation=activation, pool=pool))
+        shape = (3,) + net.input_shape
+        x = np.random.default_rng(30).normal(size=shape).astype(net.layers[-2].W.dtype)
+        return net, x
+
+    def test_feed_forward_leaves_x(self, arch, pool, activation):
+        net, x = self.setup_net(arch, pool, activation)
+        x0 = x.copy()
+        o, alpha, trace = net.feed_forward(x)
+        assert_same(x, x0)
+        # each layer called on its own, out of place, gives the same bits
+        v = x
+        for i, layer in enumerate(net.layers):
+            if i == net.final_dense_idx:
+                assert_same(alpha, v)
+            v, cache = layer.forward(v)
+            assert_same(trace[i], cache)
+        assert_same(o, v)
+
+    def test_feed_backward_leaves_o_and_trace(self, arch, pool, activation):
+        net, x = self.setup_net(arch, pool, activation)
+        o, _, trace = net.feed_forward(x)
+        o0, trace0 = o.copy(), snapshot(trace)
+        xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
+        assert_same(o, o0)
+        assert_same(trace, trace0)
+        v = o
+        for i in range(len(net.layers) - 1, -1, -1):
+            layer = net.layers[i]
+            j = net._prev_param[i] if layer.has_params else None
+            v, rc = layer.reverse(v, None if j is None else net.layers[j].b, trace[i], net.rcfg)
+            assert_same(rcaches[i], rc)
+        assert_same(xbar, v)
+
+    def test_reverse_from_latent_leaves_alphabar(self, arch, pool, activation):
+        net, x = self.setup_net(arch, pool, activation)
+        o, _, trace = net.feed_forward(x)
+        alphabar = net.generate_latent(o, trace=trace)
+        a0 = alphabar.copy()
+        xbar = net.reverse_from_latent(alphabar, trace=trace)
+        assert_same(alphabar, a0)
+        assert_same(xbar, net.feed_backward(o, trace=trace))
+
+    def test_adjoints_leave_g_and_caches(self, arch, pool, activation):
+        net, x = self.setup_net(arch, pool, activation)
+        rng = np.random.default_rng(31)
+        o, _, trace = net.feed_forward(x)
+        xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
+        g_logits = rng.normal(size=o.shape).astype(o.dtype)
+        g_rec = rng.normal(size=xbar.shape).astype(xbar.dtype)
+        saved = snapshot([g_logits, g_rec, trace, rcaches])
+        acc = net.new_grad_acc()
+        gx = net.backward_from_logits(g_logits, trace, acc)
+        go = net.reverse_adjoint(g_rec, rcaches, acc)
+        assert_same([g_logits, g_rec, trace, rcaches], saved)
+        # the in-place sums equal the sums of each walk's own gradients
+        acc_cls, acc_rec = net.new_grad_acc(), net.new_grad_acc()
+        assert_same(net.backward_from_logits(g_logits, trace, acc_cls), gx)
+        assert_same(net.reverse_adjoint(g_rec, rcaches, acc_rec), go)
+        for entry, cls, rec in zip(acc, acc_cls, acc_rec):
+            assert set(entry) == set(cls) | set(rec)
+            for name, val in entry.items():
+                want = cls[name] + rec[name] if name in cls and name in rec else cls.get(name, rec.get(name))
+                assert_same(val, want)

@@ -451,3 +451,27 @@ def test_gaussian_fill_deterministic_and_typed():
 def test_argmax_last():
     a = np.array([[0.1, 0.7, 0.2], [0.9, 0.05, 0.05]])
     assert np.array_equal(tensor.argmax_last(a), [1, 0])
+
+
+def test_blockwise_covers_every_element_once(monkeypatch):
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 5 * 8)  # 5-element blocks, the last one partial
+    a = np.arange(24, dtype=np.float64).reshape(4, 6)
+    b = np.arange(24, dtype=np.float64).reshape(6, 4).T  # read in C order through a copy
+    scratch = set()
+
+    def add(o, x, y, t, u):
+        scratch.add((t.__array_interface__["data"][0], u.__array_interface__["data"][0]))
+        np.add(x, y, out=t)
+        np.multiply(t, 2, out=o)
+
+    out = tensor.blockwise(add, None, a, b, scratch=2)
+    assert out.shape == a.shape and out.flags.c_contiguous
+    assert np.array_equal(out, 2 * (a + b))
+    assert len(scratch) == 1  # the same two scratch blocks for all five blocks
+    same = a.copy()
+    assert tensor.blockwise(lambda o, x, t: np.negative(x, out=o), same, same) is same
+    assert np.array_equal(same, -a)
+    with pytest.raises(ShapeError):
+        tensor.blockwise(lambda o, x, t: None, np.empty((6, 4)).T, a)
+    with pytest.raises(ShapeError):
+        tensor.blockwise(lambda o, x, t: None, np.empty(23), a)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from reference_trainer import PlainMlpTrainer
+from revnet import tensor
 from revnet.errors import ConfigError, NumericError
 from revnet.layers import ReverseConfig
 from revnet.network import NetworkSpec
@@ -20,6 +21,7 @@ from revnet.training import (
     evaluate,
     lr_at,
     run_experiment,
+    sgd_update,
     train_step,
 )
 
@@ -360,6 +362,60 @@ class TestAllOrNothingUpdate:
         monkeypatch.setattr(layer, op, infected)
         with pytest.raises(NumericError):
             train_step(net, batch, cfg, np.random.default_rng(6))
+
+
+def whole_array_update(params, velocity, acc, lr, cfg):
+    """The momentum step as it ran on whole arrays before it went block by
+    block: new (params, velocity), each [{name: array}] per layer."""
+    if cfg.clip_grad_norm > 0:
+        total = np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
+                            for entry in acc for g in entry.values()))
+        if total > cfg.clip_grad_norm:
+            scale = cfg.clip_grad_norm / total
+            acc = [{n: g * g.dtype.type(scale) for n, g in e.items()} for e in acc]
+    new_params, new_vel = [dict(e) for e in params], [dict(e) for e in velocity]
+    for i, entry in enumerate(acc):
+        for name, g in entry.items():
+            p = params[i][name]
+            step = p * g.dtype.type(cfg.weight_decay)
+            step += g
+            step *= g.dtype.type(lr)
+            vel = velocity[i]
+            v = vel[name] * g.dtype.type(cfg.momentum) if name in vel else np.zeros_like(p)
+            v -= step
+            new_params[i][name], new_vel[i][name] = p + v, v
+    return new_params, new_vel
+
+
+class TestSgdUpdate:
+    @pytest.mark.parametrize("clip", [0.0, 1e-3])
+    def test_reads_acc_only_and_matches_whole_array_step(self, monkeypatch, clip):
+        # 24-byte scratch blocks: every parameter but a 2-entry bias spans
+        # several blocks, most ending in a partial one
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 24)
+        spec = NetworkSpec((1, 6, 6), 3, ["conv:2:3", "lrelu", "pool:2", "dense:5", "lrelu",
+                                          "dense:3", "softmax"])
+        net = spec.build(np.random.default_rng(4), dtype=np.float32)
+        cfg = TrainConfig(clip_grad_norm=clip, weight_decay=0.01, momentum=0.9)
+        rng = np.random.default_rng(9)
+        for _ in range(2):  # the first step starts the velocity, the second reads it
+            acc = [{n: rng.normal(size=getattr(layer, n).shape).astype(np.float32)
+                    for n in (("W", "b") if layer.has_params else ())} for layer in net.layers]
+            acc_arrays = [dict(e) for e in acc]
+            acc_bytes = [{n: g.tobytes() for n, g in e.items()} for e in acc]
+            params = [{n: getattr(l, n).copy() for n in e} for l, e in zip(net.layers, acc)]
+            velocity = [{n: v.copy() for n, v in e.items()} for e in net.velocity]
+            want_params, want_vel = whole_array_update(params, velocity, acc, 0.05, cfg)
+            sgd_update(net, acc, 0.05, cfg)
+            assert [{n: g.tobytes() for n, g in e.items()} for e in acc] == acc_bytes
+            assert all(e[n] is a[n] for e, a in zip(acc, acc_arrays) for n in a)
+            assert [set(e) for e in acc] == [set(a) for a in acc_arrays]
+            got_params = [{n: getattr(l, n) for n in e} for l, e in zip(net.layers, acc)]
+            for got, want in ((got_params, want_params), (net.velocity, want_vel)):
+                assert [{n: a.tobytes() for n, a in e.items()} for e in got] == \
+                    [{n: a.tobytes() for n, a in e.items()} for e in want]
+        if clip:  # clipping fired on both steps
+            assert sum(float(np.sum(np.square(g))) for e in acc for g in e.values()) > clip ** 2
 
 
 class TestDescent:
