@@ -53,10 +53,8 @@ class LabeledDataset:
 
 def _read_bytes(path):
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+        raw = fh.read()
+    if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
     return raw
 
@@ -154,7 +152,7 @@ def load_mnist_dir(root):
 # -- CIFAR-style records ----------------------------------------------------
 
 
-def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=None):
+def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=10):
     """Concatenate CIFAR batch files. CIFAR-10 records are 1 label byte +
     3072 pixels; CIFAR-100 records carry a coarse and a fine label byte."""
     # CIFAR-100 files carry a coarse byte then a fine byte per record
@@ -181,8 +179,6 @@ def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=None):
         )
     images = np.concatenate(all_images)
     labels = np.concatenate(all_labels)
-    if class_count is None:
-        class_count = 10
     return LabeledDataset(images, labels, class_count)
 
 

@@ -74,18 +74,6 @@ def grid(panes, sep=1, sep_value=0):
     return canvas.reshape(b * (h + sep), *canvas.shape[2:])[: b * (h + sep) - sep]
 
 
-def hstack_panes(panes, sep=1, sep_value=0):
-    """Concatenate panes left to right with sep-wide separator columns."""
-    return grid([p[None] for p in panes], sep, sep_value)
-
-
-def vstack_rows(rows, sep=1, sep_value=0):
-    """Stack rows top to bottom with sep-tall separator rows: the rows,
-    transposed, are the panes of a one-sample grid."""
-    panes = [np.swapaxes(r, 0, 1)[None] for r in rows]
-    return np.swapaxes(grid(panes, sep, sep_value), 0, 1)
-
-
 def reconstruction_grid(inputs, recons):
     """One row per sample: [input | reconstruction], 1px separators."""
     return grid([chw_pane(inputs), chw_pane(recons)])

@@ -50,14 +50,10 @@ class ReverseConfig:
     pool: "upsample" spreads each pooled value over its window
         (nearest-neighbor); "unpool" scatters into the window maxima
         recorded by the forward pass and needs the forward trace.
-    grad_through_output: propagate reconstruction gradients past the
-        inverse-softmax into the forward logits (off by default; the 1/o
-        factors explode for saturated outputs).
     """
 
     activation: str = "inverse"
     pool: str = "upsample"
-    grad_through_output: bool = False
 
 
 class Layer:

@@ -35,11 +35,6 @@ set_threads(1) (--deterministic) gets one. Forward and transposed chunks
 write disjoint output slices, and the weight gradient's two halves do not
 depend on who computed them, so all three kernels give the same bits for
 one worker and for two.
-
-When torch is importable the kernels dispatch to torch.nn.functional
-through zero-copy bridges instead. Semantics of both backends are
-identical and are pinned by the adjoint and direct-loop oracle tests.
-Select explicitly with REVNET_CONV_BACKEND={auto,torch,native}.
 """
 
 import contextlib
@@ -54,14 +49,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
-try:
-    import torch
-    import torch.nn.functional as _tf
-
-    _HAVE_TORCH = True
-except ImportError:  # torch is an optional accelerator, never required
-    _HAVE_TORCH = False
-
 SINGLE = np.float32
 
 # Cap on the im2col column buffer of one batch chunk. An unchunked buffer
@@ -75,8 +62,6 @@ _COL_BYTES = 2 << 20
 # 128x16x28x28 float32 map ran fastest with 256-512 KB blocks (0.65-0.70
 # ms in place); 16 KB blocks took 2.2 ms and 1 MB blocks 0.95 ms.
 _BLOCK_BYTES = 256 << 10
-
-_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 @functools.cache
@@ -118,9 +103,7 @@ def set_threads(n=None):
     OpenBLAS gets min(n, the count it loaded with), so a BLAS pinned to one
     thread stays pinned and the rest of the budget goes to the conv workers
     (see _conv_workers). OpenBLAS reads its environment only when it loads,
-    so the cap goes through the loaded library's own API; the environment
-    variables are set as well, for a BLAS found no other way and for child
-    processes."""
+    so the cap goes through the loaded library's own API."""
     global _THREAD_BUDGET, _CONV_WORKERS
     if n is None:
         raw = os.environ.get("REVNET_THREADS", "")
@@ -129,13 +112,8 @@ def set_threads(n=None):
         n = int(raw)
     n = max(1, int(n))
     api = _openblas()
-    blas = n if api is None else min(n, api[2])
-    for key in _THREAD_ENV:
-        os.environ[key] = str(blas)
     if api is not None:
-        api[0](blas)
-    if _HAVE_TORCH:
-        torch.set_num_threads(n)
+        api[0](min(n, api[2]))
     _THREAD_BUDGET, _CONV_WORKERS = n, None
     return n
 
@@ -143,38 +121,22 @@ def set_threads(n=None):
 @contextlib.contextmanager
 def threads_restored():
     """Undo, on leaving the block by any path, every set_threads made inside
-    it: the budget, the conv worker count, the OpenBLAS (and torch) thread
-    count and the environment variables set_threads writes."""
+    it: the budget, the conv worker count and the OpenBLAS thread count."""
     global _THREAD_BUDGET, _CONV_WORKERS
     budget, workers = _THREAD_BUDGET, _CONV_WORKERS
-    env = {key: os.environ.get(key) for key in _THREAD_ENV}
     api = _openblas()
     blas = None if api is None else api[1]()
-    torch_threads = torch.get_num_threads() if _HAVE_TORCH else None
     try:
         yield
     finally:
         _THREAD_BUDGET, _CONV_WORKERS = budget, workers
-        for key, value in env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         if api is not None:
             api[0](blas)
-        if _HAVE_TORCH:
-            torch.set_num_threads(torch_threads)
 
 
 def conv_backend():
-    mode = os.environ.get("REVNET_CONV_BACKEND", "auto")
-    if mode not in ("auto", "torch", "native"):
-        raise ValueError(f"REVNET_CONV_BACKEND must be auto|torch|native, got {mode!r}")
-    if mode == "torch" and not _HAVE_TORCH:
-        raise RuntimeError("REVNET_CONV_BACKEND=torch but torch is not installed")
-    if mode == "auto":
-        return "torch" if _HAVE_TORCH else "native"
-    return mode
+    """The conv kernels' backend: always the numpy one defined here."""
+    return "native"
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +274,10 @@ def _as_batched(x):
 def conv2d(x, kernel, stride=1, pad=0):
     """Cross-correlate [B,C_in,H,W] with [C_out,C_in,kH,kW] -> [B,C_out,H',W']."""
     x, squeeze = _as_batched(x)
-    co, ci, kh, kw = kernel.shape
+    ci = kernel.shape[1]
     if x.shape[1] != ci:
         raise ShapeError(f"conv2d: input has {x.shape[1]} channels, kernel expects {ci}")
-    _conv_geometry(x.shape[2], x.shape[3], kh, kw, stride, pad)
-    if conv_backend() == "torch":
-        out = _tf.conv2d(_t(x), _t(kernel), stride=stride, padding=pad).numpy()
-    else:
-        out = _conv2d_native(x, kernel, stride, pad)
+    out = _conv2d(x, kernel, stride, pad)
     return out[0] if squeeze else out
 
 
@@ -330,17 +288,44 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
     For every a, b of matching shapes, <conv2d(a,K), b> == <a, conv2d_transposed(b,K)>.
     """
     y, squeeze = _as_batched(y)
+    b, _, ho, wo = y.shape
     co, ci, kh, kw = kernel.shape
     if y.shape[1] != co:
         raise ShapeError(f"conv2d_transposed: input has {y.shape[1]} channels, kernel expects {co}")
-    h = (y.shape[2] - 1) * stride + kh - 2 * pad
-    w = (y.shape[3] - 1) * stride + kw - 2 * pad
+    h = (ho - 1) * stride + kh - 2 * pad
+    w = (wo - 1) * stride + kw - 2 * pad
     if h <= 0 or w <= 0:
         raise ShapeError(f"conv2d_transposed: degenerate output {h}x{w}")
-    if conv_backend() == "torch":
-        out = _tf.conv_transpose2d(_t(y), _t(kernel), stride=stride, padding=pad).numpy()
-    else:
-        out = _conv2d_transposed_native(y, kernel, stride, pad)
+    if stride == 1 and 2 * ci >= co and kh == kw and pad <= kh - 1:
+        # a stride-1 transposed conv is the forward conv with the flipped,
+        # channel-swapped kernel and the complementary padding. Its im2col
+        # moves about 2*C_out*k*k words per output pixel, col2im about
+        # 4*C_in*k*k, so it wins unless C_in is small next to C_out.
+        out = _conv2d(y, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
+        return out[0] if squeeze else out
+    rows = ci * kh * kw
+    kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
+    yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
+    out = np.empty((b, ci, h, w), dtype=y.dtype)
+    chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
+
+    def scratch():
+        return (np.empty((n, rows, ho * wo), dtype=y.dtype),
+                np.empty((n, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype))
+
+    def job(_, b0, b1, bufs):
+        m = b1 - b0
+        cols = np.matmul(kmat_t, yf[b0:b1], out=bufs[0][:m]).reshape(m, ci, kh, kw, ho, wo)
+        xp = bufs[1][:m]
+        xp.fill(0)
+        # col2im: each kernel offset's column block lands on a strided window
+        for i in range(kh):
+            rs = slice(i, i + (ho - 1) * stride + 1, stride)
+            for j in range(kw):
+                xp[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
+        out[b0:b1] = xp[:, :, pad : pad + h, pad : pad + w]
+
+    _run_chunks(chunks, scratch, job)
     return out[0] if squeeze else out
 
 
@@ -348,17 +333,33 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     """Gradient of sum(upstream * conv2d(x, K)) with respect to K."""
     x, _ = _as_batched(x)
     upstream, _ = _as_batched(upstream)
-    co, ci, kh, kw = kernel_shape
-    if conv_backend() == "torch":
-        return torch.nn.grad.conv2d_weight(
-            _t(x), kernel_shape, _t(upstream), stride=stride, padding=pad
-        ).numpy()
-    return _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad)
+    b, ci = x.shape[:2]
+    co, _, kh, kw = kernel_shape
+    ho, wo = upstream.shape[2:]
+    rows = ci * kh * kw
+    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
+    # the even and the odd chunks sum, each in chunk order, into separate
+    # halves, added last. Each half has one worker, so the result is the
+    # same for one worker and for two
+    halves = np.zeros((2, co, rows), dtype=x.dtype)
 
+    def scratch():
+        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
+                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((co, rows), dtype=x.dtype))
 
-def _t(a):
-    # torch.from_numpy shares memory; inputs here are never mutated in place
-    return torch.from_numpy(np.ascontiguousarray(a))
+    def job(i, b0, b1, bufs):
+        cbuf, windows, ubuf, part = bufs
+        m = b1 - b0
+        # batch on the GEMM's inner dimension: cols[C_in*k*k, m*H'*W']
+        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
+        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
+        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
+        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
+        np.matmul(u.reshape(co, m * ho * wo), cols.reshape(rows, m * ho * wo).T, out=part)
+        halves[i % 2] += part
+
+    _run_chunks(chunks, scratch, job)
+    return (halves[0] + halves[1]).reshape(kernel_shape)
 
 
 def _windows(x, kh, kw, stride):
@@ -392,7 +393,9 @@ def _chunks(b, sample_bytes):
     return [(b0, min(b, b0 + n)) for b0 in range(0, b, n)], n
 
 
-def _conv2d_native(x, kernel, stride, pad):
+def _conv2d(x, kernel, stride, pad):
+    """conv2d of a batched input. The flip path of conv2d_transposed calls
+    this, not conv2d, so a wrapper counting conv2d calls sees none from it."""
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
@@ -411,70 +414,3 @@ def _conv2d_native(x, kernel, stride, pad):
 
     _run_chunks(chunks, scratch, job)
     return out.reshape(b, co, ho, wo)
-
-
-def _conv2d_transposed_native(y, kernel, stride, pad):
-    b, co, ho, wo = y.shape
-    _, ci, kh, kw = kernel.shape
-    if stride == 1 and 2 * ci >= co and kh == kw and pad <= kh - 1:
-        # a stride-1 transposed conv is the forward conv with the flipped,
-        # channel-swapped kernel and the complementary padding. Its im2col
-        # moves about 2*C_out*k*k words per output pixel, col2im about
-        # 4*C_in*k*k, so it wins unless C_in is small next to C_out.
-        return _conv2d_native(y, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
-    h = (ho - 1) * stride + kh - 2 * pad
-    w = (wo - 1) * stride + kw - 2 * pad
-    rows = ci * kh * kw
-    kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
-    yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
-    out = np.empty((b, ci, h, w), dtype=y.dtype)
-    chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
-
-    def scratch():
-        return (np.empty((n, rows, ho * wo), dtype=y.dtype),
-                np.empty((n, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype))
-
-    def job(_, b0, b1, bufs):
-        m = b1 - b0
-        cols = np.matmul(kmat_t, yf[b0:b1], out=bufs[0][:m]).reshape(m, ci, kh, kw, ho, wo)
-        xp = bufs[1][:m]
-        xp.fill(0)
-        # col2im: each kernel offset's column block lands on a strided window
-        for i in range(kh):
-            rs = slice(i, i + (ho - 1) * stride + 1, stride)
-            for j in range(kw):
-                xp[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
-        out[b0:b1] = xp[:, :, pad : pad + h, pad : pad + w]
-
-    _run_chunks(chunks, scratch, job)
-    return out
-
-
-def _conv2d_weight_grad_native(x, upstream, kernel_shape, stride, pad):
-    b, ci, h, w = x.shape
-    co, _, kh, kw = kernel_shape
-    ho, wo = upstream.shape[2:]
-    rows = ci * kh * kw
-    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
-    # the even and the odd chunks sum, each in chunk order, into separate
-    # halves, added last. Each half has one worker, so the result is the
-    # same for one worker and for two
-    halves = np.zeros((2, co, rows), dtype=x.dtype)
-
-    def scratch():
-        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
-                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((co, rows), dtype=x.dtype))
-
-    def job(i, b0, b1, bufs):
-        cbuf, windows, ubuf, part = bufs
-        m = b1 - b0
-        # batch on the GEMM's inner dimension: cols[C_in*k*k, m*H'*W']
-        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
-        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
-        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
-        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
-        np.matmul(u.reshape(co, m * ho * wo), cols.reshape(rows, m * ho * wo).T, out=part)
-        halves[i % 2] += part
-
-    _run_chunks(chunks, scratch, job)
-    return (halves[0] + halves[1]).reshape(kernel_shape)

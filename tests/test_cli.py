@@ -127,8 +127,6 @@ class TestTrain:
         monkeypatch.delenv("REVNET_THREADS", raising=False)
         monkeypatch.setattr(tensor, "_THREAD_BUDGET", None)
         monkeypatch.setattr(tensor, "_CONV_WORKERS", None)
-        for var in tensor._THREAD_ENV:
-            monkeypatch.setenv(var, "2")
         api = tensor._openblas()
         blas0 = tensor.blas_threads()
         if api is not None:
@@ -146,11 +144,9 @@ class TestTrain:
             os.makedirs(tmp_path / "empty")
             extra += ["--override", "data.kind=mnist", "--override", f"data.root={tmp_path / 'empty'}"]
         try:
-            before = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers(),
-                      [os.environ[v] for v in tensor._THREAD_ENV])
+            before = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers())
             assert main(train_cmd(tmp_path / "run", extra)) == (3 if fails else 0)
-            after = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers(),
-                     [os.environ[v] for v in tensor._THREAD_ENV])
+            after = (tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers())
         finally:
             if api is not None:
                 api[0](blas0)

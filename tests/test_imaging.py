@@ -7,7 +7,7 @@ from revnet.errors import FormatError, ShapeError
 from revnet.imaging import (
     chw_pane,
     generation_grid,
-    hstack_panes,
+    grid,
     likelihood_strip,
     load_image,
     reconstruction_grid,
@@ -15,7 +15,6 @@ from revnet.imaging import (
     to_u8,
     unit_to_u8,
     vector_strip,
-    vstack_rows,
 )
 
 
@@ -68,36 +67,33 @@ class TestStrips:
 
 
 class TestStacking:
-    def test_hstack_widths(self):
-        a = np.zeros((4, 3), dtype=np.uint8)
-        b = np.zeros((4, 5), dtype=np.uint8)
-        out = hstack_panes([a, b])
-        assert out.shape == (4, 3 + 1 + 5)
+    def test_widths(self):
+        a = np.zeros((2, 4, 3), dtype=np.uint8)
+        b = np.zeros((2, 4, 5), dtype=np.uint8)
+        out = grid([a, b])
+        assert out.shape == (2 * 4 + 1, 3 + 1 + 5)
 
     def test_separator_value(self):
-        a = np.full((2, 2), 200, dtype=np.uint8)
-        out = hstack_panes([a, a], sep=1, sep_value=7)
+        a = np.full((2, 2, 2), 200, dtype=np.uint8)
+        out = grid([a, a], sep=1, sep_value=7)
         assert np.all(out[:, 2] == 7)
-
-    def test_vstack_heights(self):
-        a = np.zeros((3, 4), dtype=np.uint8)
-        out = vstack_rows([a, a, a])
-        assert out.shape == (3 * 3 + 2, 4)
+        assert np.all(out[2] == 7)
+        assert np.all(out[:2, :2] == 200)
 
     def test_gray_promoted_next_to_color(self):
-        gray = np.zeros((4, 2), dtype=np.uint8)
-        color = np.zeros((4, 2, 3), dtype=np.uint8)
-        out = hstack_panes([gray, color])
-        assert out.ndim == 3
+        gray = np.full((1, 4, 2), 9, dtype=np.uint8)
+        color = np.zeros((1, 4, 2, 3), dtype=np.uint8)
+        out = grid([gray, color])
         assert out.shape == (4, 5, 3)
+        assert np.all(out[:, :2] == 9)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ShapeError):
-            hstack_panes([np.zeros((3, 2), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8)])
+            grid([np.zeros((1, 3, 2), dtype=np.uint8), np.zeros((1, 4, 2), dtype=np.uint8)])
         with pytest.raises(ShapeError):
-            vstack_rows([np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)])
+            grid([np.zeros((1, 2, 3), dtype=np.uint8), np.zeros((2, 2, 3), dtype=np.uint8)])
         with pytest.raises(ShapeError):
-            hstack_panes([])
+            grid([])
 
 
 class TestGrids:
