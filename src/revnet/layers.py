@@ -179,6 +179,15 @@ class Conv(Layer):
 
     Reverse: transposed convolution with the same kernel (+ previous bias),
     the exact adjoint of the forward linear part.
+
+    reverse(v, up=w) is the reverse of w-times nearest-neighbour upsampling
+    followed by this layer's reverse, for a stride-1 conv: upsampling
+    then a stride-1 transposed conv with W equals one stride-w transposed
+    conv of v itself with W box-summed over its w*w shifts (_box_sum), a
+    (k+w-1)x(k+w-1) kernel, at (k+w-1)^2/(w*k)^2 of the FLOPs. Its adjoint
+    runs the forward conv with that kernel at stride w, and the kernel
+    gradient on v is folded back to k x k (_box_fold). The network passes
+    up= when it folds a MaxPool's upsampling reverse into this layer.
     """
 
     kind = "conv"
@@ -224,20 +233,51 @@ class Conv(Layer):
         gx = tensor.conv2d_transposed(g, self.W, self.stride, self.pad)
         return gx, grads
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
-        y = tensor.conv2d_transposed(v, self.W, self.stride, self.pad)
+    def _reverse_kernel(self, up):
+        """(kernel, stride) of the reverse with pending upsampling factor up."""
+        if up == 1:
+            return self.W, self.stride
+        if self.stride != 1:
+            raise ShapeError(f"only a stride-1 conv takes up=, this one has stride {self.stride}")
+        return _box_sum(self.W, up), up
+
+    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, up=1):
+        kernel, stride = self._reverse_kernel(up)
+        y = tensor.conv2d_transposed(v, kernel, stride, self.pad)
         y = _add_bias_prev(y, bias_prev)
-        return y, (v, bias_prev is not None)
+        return y, (v, bias_prev is not None, up)
 
     def reverse_backward(self, g, rcache):
-        v, had_bias = rcache
+        v, had_bias, up = rcache
+        kernel, stride = self._reverse_kernel(up)
         # adjoint of the transposed conv is the forward conv; the kernel
         # gradient swaps the input/upstream roles of the forward formula
-        grads = {"W": tensor.conv2d_weight_grad(g, v, self.W.shape, self.stride, self.pad)}
+        gk = tensor.conv2d_weight_grad(g, v, kernel.shape, stride, self.pad)
+        grads = {"W": gk if up == 1 else _box_fold(gk, up, self.k)}
         if had_bias:
             grads["b_prev"] = _bias_prev_grad(g)
-        gv = tensor.conv2d(g, self.W, self.stride, self.pad)
+        gv = tensor.conv2d(g, kernel, stride, self.pad)
         return gv, grads
+
+
+def _box_sum(W, w):
+    """K[:, :, i, j] = sum of W[:, :, i - r, j - s] over 0 <= r, s < w (W
+    zero outside its k x k): W summed over its w*w shifts, (k+w-1)x(k+w-1)."""
+    co, ci, k, _ = W.shape
+    K = np.zeros((co, ci, k + w - 1, k + w - 1), dtype=W.dtype)
+    for r in range(w):
+        for s in range(w):
+            K[:, :, r : r + k, s : s + k] += W
+    return K
+
+
+def _box_fold(gK, w, k):
+    """The adjoint of _box_sum: the sum of gK's w*w shifted k x k windows."""
+    gW = np.zeros(gK.shape[:2] + (k, k), dtype=gK.dtype)
+    for r in range(w):
+        for s in range(w):
+            gW += gK[:, :, r : r + k, s : s + k]
+    return gW
 
 
 class LeakyRelu(Layer):
@@ -329,6 +369,13 @@ class MaxPool(Layer):
     those masks as g*mask, so off the maxima they write g*0: a zero with
     g's sign, or NaN where g is infinite, which keeps a non-finite
     gradient non-finite.
+
+    reverse(v, fold=True), in upsample mode, hands v on unchanged: the
+    network passes it when the upsampling is folded into the reverse of the
+    stride-1 Conv below (Conv.reverse's up=), and LeakyRelus in between run
+    on the small map, since an elementwise map commutes with nearest
+    upsampling. Its rcache marks the fold, and reverse_backward then hands
+    g on unchanged too.
     """
 
     kind = "maxpool"
@@ -379,8 +426,12 @@ class MaxPool(Layer):
         xshape, masks = cache
         return self._scatter(g, masks, xshape), None
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
+    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, fold=False):
         mode = rcfg.pool if rcfg is not None else "upsample"
+        if fold:
+            if mode != "upsample":
+                raise DomainError("only the upsampling reverse folds into a conv")
+            return v, ("fold", None)
         if mode == "unpool":
             if trace_entry is None:
                 raise DomainError("index unpooling needs the forward trace")
@@ -395,6 +446,8 @@ class MaxPool(Layer):
 
     def reverse_backward(self, g, rcache):
         mode, masks = rcache
+        if mode == "fold":
+            return g, None
         views = self._views(g)
         if mode == "unpool":
             gv = views[0] * masks[0]

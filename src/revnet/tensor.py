@@ -12,9 +12,10 @@ at a time, into a column buffer of at most _COL_BYTES bytes (or one
 sample's columns, where those are larger):
   - forward: kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'], written
     straight into the [B, C_out, H'*W'] output;
-  - weight gradient: upstream[C_out, n*H'*W'] @ cols[C_in*k*k, n*H'*W']^T,
-    the batch on the inner dimension. The even chunks and the odd chunks
-    sum into two halves, in chunk order, and the halves are added last;
+  - weight gradient: cols[C_in*k*k, n*H'*W'] @ upstream[C_out, n*H'*W']^T,
+    the batch on the inner dimension, gives the kernel gradient's
+    transpose. The even chunks and the odd chunks sum into two halves, in
+    chunk order, and the halves are added, then transposed, last;
   - transposed: kernel^T @ y gives the columns, and col2im scatters them
     back with one strided add per kernel offset (any stride) into a padded
     chunk, whose interior is copied to the C-contiguous output. At stride 1
@@ -340,12 +341,13 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
     # halves, added last. Each half has one worker, so the result is the
-    # same for one worker and for two
-    halves = np.zeros((2, co, rows), dtype=x.dtype)
+    # same for one worker and for two. The halves hold the transpose
+    # [C_in*k*k, C_out], transposed once at the end
+    halves = np.zeros((2, rows, co), dtype=x.dtype)
 
     def scratch():
         return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
-                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((co, rows), dtype=x.dtype))
+                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((rows, co), dtype=x.dtype))
 
     def job(i, b0, b1, bufs):
         cbuf, windows, ubuf, part = bufs
@@ -355,11 +357,11 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
         np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
         u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
         np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
-        np.matmul(u.reshape(co, m * ho * wo), cols.reshape(rows, m * ho * wo).T, out=part)
+        np.matmul(cols.reshape(rows, m * ho * wo), u.reshape(co, m * ho * wo).T, out=part)
         halves[i % 2] += part
 
     _run_chunks(chunks, scratch, job)
-    return (halves[0] + halves[1]).reshape(kernel_shape)
+    return np.ascontiguousarray((halves[0] + halves[1]).T).reshape(kernel_shape)
 
 
 def _windows(x, kh, kw, stride):

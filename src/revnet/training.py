@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
+from .layers import MaxPool
 from .losses import LossReport, cross_entropy, one_hot, reconstruction_mse
 from .network import TransformConfig, transform_likelihood
 
@@ -109,11 +110,7 @@ def sgd_update(net, acc, lr, cfg):
                 raise NumericError(f"non-finite gradient {name} of layer {i} ({net.layers[i]!r})")
     scale = None
     if cfg.clip_grad_norm > 0:
-        total = 0.0
-        for entry in acc:
-            for g in entry.values():
-                total += float(np.sum(np.square(g, dtype=np.float64)))
-        total = np.sqrt(total)
+        total = np.sqrt(sum(_sum_squares(g) for entry in acc for g in entry.values()))
         if total > cfg.clip_grad_norm:
             scale = cfg.clip_grad_norm / total
     steps = []
@@ -140,6 +137,20 @@ def sgd_update(net, acc, lr, cfg):
         p += v
 
 
+def _sum_squares(g):
+    """sum(g**2) in float64, summed block by block through one float64
+    block of tensor._BLOCK_BYTES rather than a float64 copy of g."""
+    flat = g.reshape(-1)
+    step = max(1, tensor._BLOCK_BYTES // 8)
+    block = np.empty(min(flat.size, step))
+    total = 0.0
+    for lo in range(0, flat.size, step):
+        b = block[: min(step, flat.size - lo)]
+        np.square(flat[lo : lo + step], out=b, dtype=np.float64)
+        total += float(b.sum())
+    return total
+
+
 def train_step(net, batch, cfg, rng, epoch=0):
     """One Algorithm-style step on (x, labels); applies the update in place
     and returns the pre-update LossReport plus the batch error count."""
@@ -162,6 +173,9 @@ def _step_gradients(net, batch, cfg, rng, epoch):
     rep.cls, g_logits = cross_entropy(o, target)
     mis = int(np.sum(tensor.argmax_last(o) != labels))
     net.backward_from_logits(x.dtype.type(cfg.w_cls) * g_logits, trace, acc)
+    # the reverse path reads only the pool masks (unpool mode) from the
+    # trace; the conv inputs and activation masks are freed here
+    trace = [c if isinstance(l, MaxPool) else None for l, c in zip(net.layers, trace)]
 
     # feed-backward: reconstruct the input from the output likelihood;
     # the resulting gradient flows through the tied reverse chain only

@@ -340,6 +340,116 @@ def test_conv_reverse_output_shape():
     assert y.shape == (2, 3, 10, 10)
 
 
+# -- the folded reverse: Conv.reverse(v, up=w) and MaxPool.reverse(fold=True)
+
+
+def unfused_reverse(layer, v, bias_prev, w):
+    """w-times nearest upsampling, then the stride-1 reverse: the chain
+    Conv.reverse(v, up=w) folds into one call. Returns (y, adjoint), with
+    adjoint(g) -> (gv, grads)."""
+    pool = MaxPool(w)
+    u, prc = pool.reverse(v)
+    y, crc = layer.reverse(u, bias_prev)
+
+    def adjoint(g):
+        gu, grads = layer.reverse_backward(g, crc)
+        return pool.reverse_backward(gu, prc)[0], grads
+
+    return y, adjoint
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("pad_of", [lambda k: 0, lambda k: k // 2, lambda k: k - 1],
+                         ids=["pad0", "pad-half", "pad-full"])
+def test_conv_folded_reverse_matches_unfused_chain(w, k, pad_of):
+    rng = np.random.default_rng(100 * w + k)
+    layer = Conv(2, 3, k, 1, pad_of(k))
+    layer.init_params(rng, np.float64)
+    v = rng.standard_normal((2, 3, 3, 4))
+    bias_prev = rng.standard_normal(2)
+    y, rc = layer.reverse(v, bias_prev, up=w)
+    want, adjoint = unfused_reverse(layer, v, bias_prev, w)
+    assert y.shape == want.shape
+    assert rel_diff(y, want) <= 1e-12
+    g = rng.standard_normal(y.shape)
+    gv, grads = layer.reverse_backward(g, rc)
+    want_gv, want_grads = adjoint(g)
+    assert gv.shape == v.shape
+    assert rel_diff(gv, want_gv) <= 1e-12
+    # the W gradient folded back from the box-summed kernel equals the one
+    # computed on the upsampled map
+    assert set(grads) == set(want_grads) == {"W", "b_prev"}
+    for name in grads:
+        assert rel_diff(grads[name], want_grads[name]) <= 1e-12
+    # the adjoint identity <T U v, g> == <v, adj g> of the linear part
+    y0, rc0 = layer.reverse(v, up=w)
+    gv0, _ = layer.reverse_backward(g, rc0)
+    lhs, rhs = np.sum(y0 * g), np.sum(v * gv0)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(y0) * np.abs(g))
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_conv_folded_reverse_gradients(trial):
+    rng = np.random.default_rng(7100 + trial)
+    layer = Conv(2, 3, 3, 1, 1)
+    layer.init_params(rng, np.float64)
+    v = rng.standard_normal((2, 3, 2, 3))
+    bias_prev = rng.standard_normal(2)
+    r = rng.standard_normal((2, 2, 4, 6))
+
+    def value():
+        y, _ = layer.reverse(v, bias_prev, up=2)
+        return np.sum(y * r)
+
+    _, rcache = layer.reverse(v, bias_prev, up=2)
+    gv, grads = layer.reverse_backward(r, rcache)
+    assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
+    assert rel_err(grads["W"], numeric_grad(value, layer.W)) < REL_TOL
+    assert rel_err(grads["b_prev"], numeric_grad(value, bias_prev)) < REL_TOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_folded_reverse_same_bits_for_one_and_two_workers(monkeypatch, dtype):
+    # batch 5 in chunks of one sample: both workers run chunks of every kernel
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    rng = np.random.default_rng(16)
+    layer = Conv(4, 6, 5, 1, 2)
+    layer.init_params(rng, dtype)
+    v = rng.standard_normal((5, 6, 4, 4)).astype(dtype)
+    g = rng.standard_normal((5, 4, 8, 8)).astype(dtype)
+    bias_prev = rng.standard_normal(4).astype(dtype)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
+        y, rc = layer.reverse(v, bias_prev, up=2)
+        gv, grads = layer.reverse_backward(g, rc)
+        results.append([a.tobytes() for a in (y, gv, grads["W"], grads["b_prev"])])
+    assert results[0] == results[1]
+
+
+def test_conv_reverse_up_needs_stride_one():
+    layer = Conv(2, 3, 3, 2, 1)
+    layer.init_params(np.random.default_rng(17), np.float64)
+    with pytest.raises(ShapeError):
+        layer.reverse(np.zeros((1, 3, 2, 2)), up=2)
+
+
+def test_maxpool_fold_hands_v_and_g_on():
+    layer = MaxPool(2)
+    v = np.arange(4.0).reshape(1, 1, 2, 2)
+    y, rc = layer.reverse(v, fold=True)
+    assert y is v
+    g = np.ones((1, 1, 2, 2))
+    assert layer.reverse_backward(g, rc)[0] is g
+    with pytest.raises(DomainError):
+        layer.reverse(v, rcfg=ReverseConfig(pool="unpool"), fold=True)
+
+
 def test_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(14)
     layer, x = make_dense(rng)

@@ -1,11 +1,13 @@
 """Network composition: forward/backward wiring, likelihood transform,
 round-trip fidelity on exactly invertible stacks."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from revnet.errors import ConfigError, DomainError, ShapeError, StateError
-from revnet.layers import Dense, LeakyRelu, ReverseConfig, SoftmaxHead
+from revnet.layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 from revnet.network import (
     ARCHITECTURES,
     NetworkSpec,
@@ -336,6 +338,75 @@ class TestReversePaths:
             )
 
 
+NON_FOLDABLE = {
+    "pool-first": ["pool:2", "conv:3:3", "lrelu", "dense:4", "softmax"],
+    "lrelu-then-pool-first": ["lrelu", "pool:2", "conv:3:3", "lrelu", "dense:4", "softmax"],
+    "stride-2-conv": ["conv:3:4:2:1", "lrelu", "pool:2", "dense:4", "softmax"],
+}
+
+
+class TestUpsamplingFold:
+    """In upsample mode a MaxPool's reverse folds into the stride-1 Conv
+    below it (past LeakyRelus); everything else reverses layer by layer.
+    Unpool mode is covered by TestOwnership, whose fold_kwargs are empty
+    there."""
+
+    def test_fold_targets(self):
+        assert small_net()._fold_into == [None, None, 0, None, None, 3, None, None, None, None]
+        baseline = baseline_spec((3, 32, 32), 10).build()
+        assert {i: j for i, j in enumerate(baseline._fold_into) if j is not None} == {4: 2, 9: 7}
+        for tokens in NON_FOLDABLE.values():
+            assert NetworkSpec((1, 8, 8), 4, tokens).build()._fold_into == [None] * len(tokens)
+        # a pool over a pool: only the lower one has a conv below it
+        stacked = NetworkSpec((1, 8, 8), 4, ["conv:3:3", "pool:2", "pool:2", "dense:4", "softmax"]).build()
+        assert stacked._fold_into == [None, 0, None, None, None]
+
+    @pytest.mark.parametrize("name", sorted(NON_FOLDABLE))
+    def test_non_foldable_stacks_reverse_layer_by_layer(self, name):
+        net = NetworkSpec((1, 8, 8), 4, NON_FOLDABLE[name]).build(np.random.default_rng(5))
+        x = np.random.default_rng(6).normal(size=(3, 1, 8, 8)).astype(np.float32)
+        o, _, trace = net.feed_forward(x)
+        got = net.feed_backward(o, trace=trace, want_caches=True)
+        assert_same(got, per_layer_reverse(net, o, trace))
+
+    def test_adjoint_starting_at_a_folded_pool_leaves_g(self):
+        # the pool hands the caller's g on to the lrelu above it
+        net = NetworkSpec((1, 8, 8), 4, ["conv:3:3", "pool:2", "lrelu", "dense:4", "softmax"]).build(
+            np.random.default_rng(11), dtype=np.float64)
+        x = np.random.default_rng(12).normal(size=(2, 1, 8, 8))
+        o, _, trace = net.feed_forward(x)
+        _, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
+        assert rcaches[1][0] == "fold"
+        g = np.random.default_rng(13).normal(size=(2, 3, 4, 4))
+        g0 = g.copy()
+        got = net.reverse_adjoint(g, rcaches, net.new_grad_acc(), lo=1)
+        assert_same(g, g0)
+        want = g
+        for i in range(1, len(net.layers)):
+            want = net.layers[i].reverse_backward(want, rcaches[i])[0]
+        assert_same(got, want)
+
+    @pytest.mark.parametrize("arch", ["small", "baseline"])
+    def test_folded_adjoint_matches_unfused_chain(self, arch):
+        shape = (1, 16, 16) if arch == "small" else (3, 16, 16)
+        net = ARCHITECTURES[arch](shape, 10).build(np.random.default_rng(8), dtype=np.float64)
+        x = np.random.default_rng(9).normal(size=(2,) + shape)
+        o, _, trace = net.feed_forward(x)
+        xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
+        want_xbar, unfused = per_layer_reverse(net, o, trace)
+        pools = [i for i, layer in enumerate(net.layers) if isinstance(layer, MaxPool)]
+        assert [rcaches[i][0] for i in pools] == ["fold", "fold"]
+        assert rel_diff(xbar, want_xbar) <= 1e-12
+        g = np.random.default_rng(10).normal(size=xbar.shape)
+        acc, want_acc = net.new_grad_acc(), net.new_grad_acc()
+        go = net.reverse_adjoint(g, rcaches, acc)
+        assert rel_diff(go, net.reverse_adjoint(g, unfused, want_acc)) <= 1e-12
+        for entry, want in zip(acc, want_acc):
+            assert set(entry) == set(want)
+            for name in entry:
+                assert rel_diff(entry[name], want[name]) <= 1e-12
+
+
 def orthogonal(n, rng, dtype=np.float64):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return (q * np.sign(np.diag(r))).astype(dtype)
@@ -398,9 +469,58 @@ def assert_same(a, b):
         assert a == b
 
 
+def per_layer_reverse(net, o, trace, kwargs=None):
+    """feed_backward as one out-of-place reverse call per layer, layer i
+    with the keywords kwargs.get(i). Returns (xbar, rcaches)."""
+    kwargs = kwargs or {}
+    rcaches = [None] * len(net.layers)
+    v = o
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        j = net._prev_param[i] if layer.has_params else None
+        v, rcaches[i] = layer.reverse(v, None if j is None else net.layers[j].b, trace[i], net.rcfg,
+                                      **kwargs.get(i, {}))
+    return v, rcaches
+
+
+def fold_kwargs(net):
+    """The reverse keywords of the upsampling fold, found here from the
+    rule: a MaxPool whose next layer below that is not a LeakyRelu is a
+    stride-1 Conv reverses with fold=True, and that conv with up=window."""
+    kwargs = {}
+    if net.rcfg.pool != "upsample":
+        return kwargs
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, MaxPool):
+            j = i - 1
+            while j >= 0 and isinstance(net.layers[j], LeakyRelu):
+                j -= 1
+            if j >= 0 and isinstance(net.layers[j], Conv) and net.layers[j].stride == 1:
+                kwargs[i], kwargs[j] = {"fold": True}, {"up": layer.window}
+    return kwargs
+
+
+def as_float64(net):
+    """A float64 copy of net, the same parameters widened."""
+    twin = copy.deepcopy(net)
+    for layer in twin.layers:
+        if layer.has_params:
+            layer.W, layer.b = layer.W.astype(np.float64), layer.b.astype(np.float64)
+    return twin
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
 OWNERSHIP_NETS = {
     # the small conv net: lrelu after each conv and after the first dense
     "small": lambda rcfg: small_net(1, rcfg),
+    # reverse_from_latent starts at a pool that folds into the conv below,
+    # so the lrelu after it gets the caller's latent, handed on
+    "pool-at-latent": lambda rcfg: NetworkSpec(
+        (1, 8, 8), 4, ["conv:3:3", "lrelu", "pool:2", "dense:4", "softmax"]
+    ).build(np.random.default_rng(3), rcfg=rcfg),
     # lrelu first (on the caller's x), twice in a row, and right before
     # the final dense (on the caller's latent in reverse_from_latent)
     "lrelu-chain": lambda rcfg: NetworkSpec(
@@ -443,13 +563,13 @@ class TestOwnership:
         xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
         assert_same(o, o0)
         assert_same(trace, trace0)
-        v = o
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            j = net._prev_param[i] if layer.has_params else None
-            v, rc = layer.reverse(v, None if j is None else net.layers[j].b, trace[i], net.rcfg)
-            assert_same(rcaches[i], rc)
-        assert_same(xbar, v)
+        # the per-layer calls with the upsampling fold give the same bits
+        assert_same((xbar, rcaches), per_layer_reverse(net, o, trace, fold_kwargs(net)))
+        # in float64, the walk is the unfused per-layer chain to 1e-12
+        net64 = as_float64(net)
+        o64, _, trace64 = net64.feed_forward(x.astype(np.float64))
+        want = per_layer_reverse(net64, o64, trace64)[0]
+        assert rel_diff(net64.feed_backward(o64, trace=trace64), want) <= 1e-12
 
     def test_reverse_from_latent_leaves_alphabar(self, arch, pool, activation):
         net, x = self.setup_net(arch, pool, activation)
