@@ -16,12 +16,16 @@ sample's columns, where those are larger):
     the batch on the inner dimension, gives the kernel gradient's
     transpose. The even chunks and the odd chunks sum into two halves, in
     chunk order, and the halves are added, then transposed, last;
-  - transposed: kernel^T @ y gives the columns, and col2im scatters them
-    back with one strided add per kernel offset (any stride) into a padded
-    chunk, whose interior is copied to the C-contiguous output. At stride 1
-    with 2*C_in >= C_out it is instead the forward kernel run with the
-    flipped, channel-swapped kernel and padding k-1-pad, which moves less
-    memory.
+  - transposed, one of two paths, chosen by one rule: where
+    2*C_in*s^2 >= C_out (square kernel, pad//s <= ceil(k/s)-1), the
+    sub-pixel path runs the forward kernel at stride 1 into C_in*s^2 phase
+    channels, with the kernel flipped, channel-swapped and split by output
+    phase, and copies each phase, chunk by chunk, to its strided pixels of
+    the C-contiguous output (depth-to-space); at s = 1 that is the forward
+    conv with the flipped kernel and padding k-1-pad, written straight into
+    the output. Elsewhere, col2im: kernel^T @ y gives the columns, scattered
+    back with one strided add per kernel offset into a padded chunk, whose
+    interior is copied to the output.
 Padding also happens one chunk at a time, into a zero-bordered buffer.
 
 The chunks are shared between two workers, the calling thread and one
@@ -297,12 +301,11 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
     w = (wo - 1) * stride + kw - 2 * pad
     if h <= 0 or w <= 0:
         raise ShapeError(f"conv2d_transposed: degenerate output {h}x{w}")
-    if stride == 1 and 2 * ci >= co and kh == kw and pad <= kh - 1:
-        # a stride-1 transposed conv is the forward conv with the flipped,
-        # channel-swapped kernel and the complementary padding. Its im2col
-        # moves about 2*C_out*k*k words per output pixel, col2im about
-        # 4*C_in*k*k, so it wins unless C_in is small next to C_out.
-        out = _conv2d(y, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, kh - 1 - pad)
+    if 2 * ci * stride * stride >= co and kh == kw and pad // stride < -(-kh // stride):
+        # per output pixel, the sub-pixel path's im2col moves about
+        # 2*C_out*k*k/s^4 words, col2im about 4*C_in*k*k/s^2, so the
+        # sub-pixel path wins unless C_in*s^2 is small next to C_out
+        out = _conv2d_transposed_subpixel(y, kernel, stride, pad, h, w)
         return out[0] if squeeze else out
     rows = ci * kh * kw
     kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
@@ -328,6 +331,44 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
 
     _run_chunks(chunks, scratch, job)
     return out[0] if squeeze else out
+
+
+def _conv2d_transposed_subpixel(y, kernel, s, pad, h, w):
+    """conv2d_transposed of a batched y as one stride-1 forward conv into
+    C_in*s*s phase channels, then depth-to-space (Shi et al. 2016).
+
+    With t = ceil(k/s) and K zero-padded to t*s, output pixel
+    (s*i + r - pad%s, s*j + q - pad%s) of channel c is output pixel (i, j)
+    of phase channel c*s*s + r*s + q of the forward conv of y, padded by
+    t-1-pad//s, with Kp[c*s*s + r*s + q, o, a, b] = K[o, c, s(t-1-a)+r,
+    s(t-1-b)+q]. At s = 1 that is the forward conv with the flipped,
+    channel-swapped kernel, written straight into the output."""
+    co, ci, k, _ = kernel.shape
+    t = -(-k // s)
+    # pad only where k is not a multiple of s: one more kernel-sized array
+    # per call (51 KB at small's 16->32 layer) raised the benchmark's peak
+    # RSS on the small net by 1.7-4.2 MB, through where the allocator then
+    # placed larger buffers
+    if t * s != k:
+        kernel = np.pad(kernel, ((0, 0), (0, 0), (0, t * s - k), (0, t * s - k)))
+    kphase = (kernel.reshape(co, ci, t, s, t, s)[:, :, ::-1, :, ::-1]
+              .transpose(1, 3, 5, 0, 2, 4).reshape(ci * s * s, co, t, t))
+    if s == 1:
+        return _conv2d(y, kphase, 1, t - 1 - pad)
+    shift = pad % s
+    out = np.empty((y.shape[0], ci, h, w), dtype=y.dtype)
+
+    def depth_to_space(b0, b1, z):
+        z = z.reshape(b1 - b0, ci, s, s, *z.shape[2:])
+        for r in range(s):
+            i0 = int(r < shift)  # the phase's first row inside the output
+            for q in range(s):
+                j0 = int(q < shift)
+                dst = out[b0:b1, :, s * i0 + r - shift :: s, s * j0 + q - shift :: s]
+                dst[...] = z[:, :, r, q, i0 : i0 + dst.shape[2], j0 : j0 + dst.shape[3]]
+
+    _conv2d(y, kphase, 1, t - 1 - pad // s, store=depth_to_space)
+    return out
 
 
 def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
@@ -395,24 +436,31 @@ def _chunks(b, sample_bytes):
     return [(b0, min(b, b0 + n)) for b0 in range(0, b, n)], n
 
 
-def _conv2d(x, kernel, stride, pad):
-    """conv2d of a batched input. The flip path of conv2d_transposed calls
-    this, not conv2d, so a wrapper counting conv2d calls sees none from it."""
+def _conv2d(x, kernel, stride, pad, store=None):
+    """conv2d of a batched input. The sub-pixel path of conv2d_transposed
+    calls this, not conv2d, so a wrapper counting conv2d calls sees none
+    from it. With store, nothing is returned: each chunk's result goes to
+    store(b0, b1, z), z [b1-b0, C_out, H', W'] in the worker's own buffer."""
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
     rows = ci * kh * kw
     kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
-    out = np.empty((b, co, ho * wo), dtype=x.dtype)
+    out = None if store else np.empty((b, co, ho * wo), dtype=x.dtype)
     chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
 
     def scratch():
-        return np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad)
+        return (np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
+                np.empty((n, co, ho * wo), dtype=x.dtype) if store else None)
 
     def job(_, b0, b1, bufs):
-        cols = bufs[0][: b1 - b0]
-        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), bufs[1](b0, b1))
-        np.matmul(kmat, cols, out=out[b0:b1])
+        m = b1 - b0
+        cols = bufs[0][:m]
+        np.copyto(cols.reshape(m, ci, kh, kw, ho, wo), bufs[1](b0, b1))
+        if store is None:
+            np.matmul(kmat, cols, out=out[b0:b1])
+        else:
+            store(b0, b1, np.matmul(kmat, cols, out=bufs[2][:m]).reshape(m, co, ho, wo))
 
     _run_chunks(chunks, scratch, job)
-    return out.reshape(b, co, ho, wo)
+    return None if store else out.reshape(b, co, ho, wo)

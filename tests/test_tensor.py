@@ -11,6 +11,7 @@ import pytest
 
 from revnet import tensor
 from revnet.errors import ShapeError
+from revnet.layers import _box_sum
 
 
 def conv2d_loops(x, w, stride, pad):
@@ -73,10 +74,41 @@ def conv2d_weight_grad_loops(x, g, kernel_shape, stride, pad):
     return out
 
 
+def conv2d_transposed_by_offset(y, w, stride, pad):
+    """conv2d_transposed_loops with the loops over samples, channels and
+    pixels done by one einsum per kernel offset, for shapes too large for
+    the full loops."""
+    b, co, ho, wo = y.shape
+    _, ci, kh, kw = w.shape
+    h = (ho - 1) * stride + kh - 2 * pad
+    wd = (wo - 1) * stride + kw - 2 * pad
+    canvas = np.zeros((b, ci, h + 2 * pad, wd + 2 * pad), dtype=y.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            canvas[:, :, u : u + (ho - 1) * stride + 1 : stride, v : v + (wo - 1) * stride + 1 : stride] += \
+                np.einsum("noij,oc->ncij", y, w[:, :, u, v])
+    return canvas[:, :, pad : pad + h, pad : pad + wd]
+
+
+def transposed_path(monkeypatch, y, w, stride, pad):
+    """conv2d_transposed(y, w, stride, pad) and the path it took."""
+    taken = ["col2im"]
+    subpixel = tensor._conv2d_transposed_subpixel
+
+    def spy(*args):
+        taken[0] = "subpixel"
+        return subpixel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "_conv2d_transposed_subpixel", spy)
+        return tensor.conv2d_transposed(y, w, stride, pad), taken[0]
+
+
 GEOMETRIES = [(1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5)]
-# 2*C_in >= C_out takes the stride-1 transposed conv through the flipped
-# forward kernel, 1 -> 4 channels through col2im
-CHANNELS = [(3, 4), (1, 4)]
+# the transposed conv takes the sub-pixel path where 2*C_in*stride^2 >=
+# C_out, else col2im; PATHS holds the path of each pair at strides 1 and 2
+CHANNELS = [(3, 4), (1, 4), (1, 16)]
+PATHS = {(3, 4): ("subpixel", "subpixel"), (1, 4): ("col2im", "subpixel"), (1, 16): ("col2im", "col2im")}
 
 
 @pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
@@ -101,6 +133,57 @@ def test_conv2d_transposed_matches_direct_loops(stride, pad, h, w, k, ci, co):
     want = conv2d_transposed_loops(y, wts, stride, pad)
     assert got.shape == want.shape == (2, ci, h, w)
     assert np.allclose(got, want, atol=1e-10)
+
+
+# every pad that leaves a non-empty output, on a 3x4 upstream map:
+# pad // stride <= ceil(k/stride) - 1 takes the sub-pixel path, larger pads
+# col2im
+STRIDED = [(s, k, p) for s in (2, 3) for k in (3, 4, 5, 6) for p in range(k + 2)
+           if 2 * s + k - 2 * p > 0]
+
+
+@pytest.mark.parametrize("stride,k,pad", STRIDED)
+def test_strided_transposed_paths_match_direct_loops(monkeypatch, stride, k, pad):
+    rng = np.random.default_rng(20)
+    y = rng.standard_normal((2, 3, 3, 4))
+    wts = rng.standard_normal((3, 2, k, k))
+    got, path = transposed_path(monkeypatch, y, wts, stride, pad)
+    want = conv2d_transposed_loops(y, wts, stride, pad)
+    assert path == ("subpixel" if pad // stride <= -(-k // stride) - 1 else "col2im")
+    assert got.shape == want.shape == (2, 2, 2 * stride + k - 2 * pad, 3 * stride + k - 2 * pad)
+    assert np.allclose(got, want, atol=1e-10)
+    assert np.allclose(conv2d_transposed_by_offset(y, wts, stride, pad), want, atol=1e-10)
+
+
+# (C_in, C_out, H') of the stride-2 transposed convs that the upsample-mode
+# reverse runs with a 5x5 kernel box-summed to 6x6, pad 2: small's 16 -> 32
+# and baseline's 32 -> 32 and 64 -> 64 take the sub-pixel path, small's
+# input conv 1 -> 16 col2im
+FOLDED = [(16, 32, 7, "subpixel"), (32, 32, 16, "subpixel"), (64, 64, 8, "subpixel"),
+          (1, 16, 14, "col2im")]
+
+
+@pytest.mark.parametrize("ci,co,ho,path", FOLDED)
+def test_folded_reverse_shapes(monkeypatch, ci, co, ho, path):
+    rng = np.random.default_rng(21)
+    wts = _box_sum(rng.standard_normal((co, ci, 5, 5)), 2)
+    y = rng.standard_normal((3, co, ho, ho))
+    x = rng.standard_normal((3, ci, 2 * ho, 2 * ho))
+    got, taken = transposed_path(monkeypatch, y, wts, 2, 2)
+    assert taken == path
+    assert got.shape == x.shape
+    assert np.allclose(got, conv2d_transposed_by_offset(y, wts, 2, 2), rtol=1e-12, atol=1e-12)
+    lhs, rhs = np.sum(tensor.conv2d(x, wts, 2, 2) * y), np.sum(x * got)
+    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    # one sample per chunk: the helper runs the middle one
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", 1)
+        one = tensor.conv2d_transposed(y.astype(dtype), wts.astype(dtype), 2, 2)
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+        two = tensor.conv2d_transposed(y.astype(dtype), wts.astype(dtype), 2, 2)
+        assert one.dtype == two.dtype == dtype
+        assert one.tobytes() == two.tobytes()
 
 
 @pytest.mark.parametrize("ci,co", CHANNELS)
@@ -256,6 +339,17 @@ def test_two_workers_bit_identical_to_one(monkeypatch, dtype, ci, co, h, w, k, s
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("ci,co,h", [shape for shape in LAYER_SHAPES if 2 * shape[0] >= shape[1]])
+def test_stride_one_transposed_keeps_the_flip_bits(ci, co, h):
+    # at stride 1 the sub-pixel path is the forward conv with the flipped,
+    # channel-swapped kernel, bit for bit
+    rng = np.random.default_rng(22)
+    y = rng.standard_normal((4, co, h, h)).astype(np.float32)
+    wts = rng.standard_normal((co, ci, 5, 5)).astype(np.float32)
+    flip = tensor._conv2d(y, wts[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, 5 - 1 - 2)
+    assert tensor.conv2d_transposed(y, wts, 1, 2).tobytes() == flip.tobytes()
+
+
 @pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_exception_in_either_worker_reaches_the_caller(monkeypatch, failing):
     monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
@@ -375,15 +469,19 @@ def test_conv_in_forked_child_after_helper_ran(monkeypatch):
 
 
 @pytest.mark.parametrize("ci,co", CHANNELS)
-def test_transposed_output_owns_no_padded_buffer(ci, co):
-    # both transposed paths, padded: the result is C-contiguous and holds
-    # no larger (padded) buffer alive
+def test_transposed_output_owns_no_padded_buffer(monkeypatch, ci, co):
+    # both transposed paths, padded, at stride 1 and 2 (where the phase grid
+    # fits the output, and where pad % stride shifts it): the result is
+    # C-contiguous and holds no larger (padded or phase) buffer alive
     rng = np.random.default_rng(19)
     y = rng.standard_normal((3, co, 6, 6))
-    out = tensor.conv2d_transposed(y, rng.standard_normal((co, ci, 5, 5)), 1, 2)
-    assert out.shape == (3, ci, 6, 6)
-    assert out.flags["C_CONTIGUOUS"]
-    assert out.base is None or out.base.nbytes == out.nbytes
+    for stride, k, pad in [(1, 5, 2), (2, 6, 2), (2, 5, 1)]:
+        out, path = transposed_path(monkeypatch, y, rng.standard_normal((co, ci, k, k)), stride, pad)
+        assert path == PATHS[ci, co][stride - 1]
+        side = 5 * stride + k - 2 * pad
+        assert out.shape == (3, ci, side, side)
+        assert out.flags["C_CONTIGUOUS"]
+        assert out.base is None or out.base.nbytes == out.nbytes
 
 
 def test_conv2d_rejects_non_divisible_stride():
