@@ -84,14 +84,25 @@ def transform_likelihood_with_pre(o, cfg, rng):
         raise ConfigError(f"boost_count {cfg.boost_count} must be < class count {n}")
     pre = o.copy()
     top = o.argmax(axis=1)
-    peak = o.max(axis=1)
-    for r in range(o.shape[0]):
+    boost = o.dtype.type(cfg.boost_factor) * o.max(axis=1)
+    if cfg.boost_count == 1:
+        # the one bounded draw per row that rng.choice(pool, size=1,
+        # replace=False) makes, for all rows at once: the same entries and
+        # the same generator state as the loop below
         if cfg.include_argmax:
-            pool = np.arange(n)
+            chosen = rng.integers(0, n, size=len(o))
         else:
-            pool = np.delete(np.arange(n), top[r])
-        chosen = rng.choice(pool, size=cfg.boost_count, replace=False)
-        pre[r, chosen] = o.dtype.type(cfg.boost_factor) * peak[r]
+            v = rng.integers(0, n - 1, size=len(o))
+            chosen = v + (v >= top)
+        pre[np.arange(len(o)), chosen] = boost
+    else:
+        for r in range(len(o)):
+            if cfg.include_argmax:
+                pool = np.arange(n)
+            else:
+                pool = np.delete(np.arange(n), top[r])
+            chosen = rng.choice(pool, size=cfg.boost_count, replace=False)
+            pre[r, chosen] = boost[r]
     if not cfg.renormalize:
         return pre, pre.copy()
     sums = pre.sum(axis=1, keepdims=True)

@@ -6,12 +6,19 @@ default; float64 exists for gradient checking. Convolution uses
 cross-correlation semantics (no kernel flip) with zero padding.
 
 The three convolution kernels (forward, transposed/adjoint, weight
-gradient) are matrix products over unrolled patches (im2col). A
-sliding-window view of the padded input is copied, one chunk of the batch
-at a time, into a column buffer of at most _COL_BYTES bytes (or one
-sample's columns, where those are larger):
-  - forward: kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'], written
-    straight into the [B, C_out, H'*W'] output;
+gradient) are matrix products over the input, lowered one chunk of the
+batch at a time. All of a chunk's scratch (lowered input, padded input,
+accumulation and store buffers) fits _COL_BYTES bytes, or holds one
+sample where that is larger:
+  - forward, by kernel rows (Cho & Brand, MEC, ICML 2017) where C_in*kW >=
+    _ROW_MIN: the chunk is copied once into kW column-shifted copies of
+    the padded input, a strided view of which is, for each kernel row,
+    a [C_in*kW, H'*W'] matrix per sample; out = sum over kernel rows i of
+    kernel[:, :, i, :] @ that view, written straight into the
+    [B, C_out, H'*W'] output, the later rows added through a buffer.
+    Where C_in*kW < _ROW_MIN (the 1- and 3-channel input convs), by the
+    full im2col: a sliding-window view of the padded input is copied into
+    columns, and kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'];
   - weight gradient: cols[C_in*k*k, n*H'*W'] @ upstream[C_out, n*H'*W']^T,
     the batch on the inner dimension, gives the kernel gradient's
     transpose. The even chunks and the odd chunks sum into two halves, in
@@ -26,7 +33,9 @@ sample's columns, where those are larger):
     the output. Elsewhere, col2im: kernel^T @ y gives the columns, scattered
     back with one strided add per kernel offset into a padded chunk, whose
     interior is copied to the output.
-Padding also happens one chunk at a time, into a zero-bordered buffer.
+Padding also happens one chunk at a time, into a buffer whose border is
+zeroed once. The chunks are balanced: an even number of them, their
+lengths differing by at most one.
 
 The chunks are shared between two workers, the calling thread and one
 persistent helper thread, each with its own buffers, while every BLAS
@@ -56,12 +65,20 @@ from .errors import ShapeError
 
 SINGLE = np.float32
 
-# Cap on the im2col column buffer of one batch chunk. An unchunked buffer
-# for a 32-channel 5x5 conv on 32x32 maps is about 100 MB at batch 32. On
-# a 2-CPU x86-64 VM with 2 MB of L2 per core, caps of 1-4 MB ran every
-# layer shape of the small and baseline nets fastest; 8 and 16 MB were up
-# to 1.5x slower on the 32-64 channel layers.
+# Cap on all the per-chunk scratch of a conv kernel: lowered input (im2col
+# columns or shifted rows), padded input, accumulation and store buffers.
+# An unchunked im2col buffer for a 32-channel 5x5 conv on 32x32 maps is
+# about 100 MB at batch 32. On a 2-CPU x86-64 VM with 2 MB of L2 per core,
+# caps of 1-4 MB ran every layer shape of the small and baseline nets
+# fastest; 8 and 16 MB were up to 1.5x slower on the 32-64 channel layers.
 _COL_BYTES = 2 << 20
+
+# _conv2d lowers by kernel rows where C_in*kW (one row's GEMM depth) is at
+# least this, else by the full im2col. On the same VM, by one-worker CPU
+# time, the row path took 0.94-1.21x im2col's time at C_in*kW = 15
+# (baseline's 3-channel input conv, no gain), 0.81-0.88x at 20, and
+# 1.6-2.3x at 5 (small's 1-channel input conv).
+_ROW_MIN = 16
 
 # Scratch block of blockwise. On the same VM, LeakyRelu's forward over a
 # 128x16x28x28 float32 map ran fastest with 256-512 KB blocks (0.65-0.70
@@ -311,7 +328,7 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
     kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
     yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
     out = np.empty((b, ci, h, w), dtype=y.dtype)
-    chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
+    chunks, n = _chunks(b, (rows * ho * wo + ci * (h + 2 * pad) * (w + 2 * pad)) * y.itemsize)
 
     def scratch():
         return (np.empty((n, rows, ho * wo), dtype=y.dtype),
@@ -379,7 +396,8 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     co, _, kh, kw = kernel_shape
     ho, wo = upstream.shape[2:]
     rows = ci * kh * kw
-    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
+    padded = ci * (x.shape[2] + 2 * pad) * (x.shape[3] + 2 * pad) if pad else 0
+    chunks, n = _chunks(b, ((rows + co) * ho * wo + padded) * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
     # halves, added last. Each half has one worker, so the result is the
     # same for one worker and for two. The halves hold the transpose
@@ -430,37 +448,112 @@ def _chunk_windows(x, n, kh, kw, stride, pad):
 
 
 def _chunks(b, sample_bytes):
-    """(start, stop) batch slices whose column buffers fit _COL_BYTES, and
-    the largest slice length."""
-    n = max(1, min(b, _COL_BYTES // max(1, sample_bytes)))
-    return [(b0, min(b, b0 + n)) for b0 in range(0, b, n)], n
+    """(start, stop) batch slices, and the largest slice length, for a
+    kernel whose per-chunk scratch takes sample_bytes per sample: an even
+    number of slices where b allows, their lengths differing by at most one,
+    each slice's scratch within _COL_BYTES (or one sample, where that is
+    larger). They depend on b and sample_bytes alone, never on the worker
+    count, so one worker and two sum the same chunks."""
+    cap = max(1, min(b, _COL_BYTES // max(1, sample_bytes)))
+    count = -(-b // cap)
+    count = min(b, count + count % 2)
+    size, extra = divmod(b, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(starts[:-1], starts[1:])), size + (extra > 0)
+
+
+def _im2col(x, kernel, stride, pad, ho, wo):
+    """The full im2col lowering of _conv2d: (per-sample scratch elements,
+    scratch(n), conv(b0, b1, bufs, z)), where conv writes kernel[C_out,
+    C_in*kH*kW] @ cols[m, C_in*kH*kW, H'*W'] of x[b0:b1] into z."""
+    _, ci, h, w = x.shape
+    co, _, kh, kw = kernel.shape
+    rows = ci * kh * kw
+    kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
+
+    def scratch(n):
+        return np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad)
+
+    def conv(b0, b1, bufs, z):
+        cols = bufs[0][: b1 - b0]
+        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), bufs[1](b0, b1))
+        np.matmul(kmat, cols, out=z)
+
+    padded = ci * (h + 2 * pad) * (w + 2 * pad) if pad else 0
+    return rows * ho * wo + padded, scratch, conv
+
+
+def _kernel_rows(x, kernel, s, pad, ho, wo):
+    """The kernel-row lowering of _conv2d (MEC, Cho & Brand 2017), in the
+    same form as _im2col. x[b0:b1] is copied once into shifted[m, c, j, r,
+    Y, X] = xpad[m, c, s*Y + r, s*X + j] for j < kW, r < s, Y < H' +
+    (kH-1)//s and X < W', whose entries outside the input stay zero from
+    allocation on. Kernel row i = s*a + r then reads shifted[:, :, :, r,
+    a:a+H'] as one [C_in*kW, H'*W'] matrix per sample, with unit column
+    stride, so the GEMM takes it without a copy, and z gets the sum over i
+    of kernel[:, :, i, :] @ that view: row 0 written first, each later row
+    added through an accumulation buffer."""
+    _, ci, h, w = x.shape
+    co, _, kh, kw = kernel.shape
+    yn = ho + (kh - 1) // s
+    kmats = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3), dtype=x.dtype).reshape(kh, co, ci * kw)
+
+    def span(offset, size, n):
+        # the shifted indices t < n whose source s*t + offset - pad lies in
+        # [0, size), as a destination slice and the matching source slice
+        lo = max(0, -((offset - pad) // s))
+        hi = min(n, (size - 1 + pad - offset) // s + 1)
+        return (slice(lo, hi), slice(s * lo + offset - pad, s * (hi - 1) + offset - pad + 1, s)) \
+            if hi > lo else None
+
+    copies = []  # (j, r, rows, columns) of every non-empty copy
+    for j in range(kw):
+        for r in range(s):
+            ys, xs = span(r, h, yn), span(j, w, wo)
+            if ys and xs:
+                copies.append((j, r, ys, xs))
+
+    def scratch(n):
+        shifted = np.zeros((n, ci, kw, s, yn, wo), dtype=x.dtype)
+        views = [shifted[:, :, :, i % s, i // s : i // s + ho].reshape(n, ci * kw, ho * wo)
+                 for i in range(kh)]
+        return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if kh > 1 else None
+
+    def conv(b0, b1, bufs, z):
+        shifted, views, acc = bufs
+        m = b1 - b0
+        for j, r, (yd, ysrc), (xd, xsrc) in copies:
+            shifted[:m, :, j, r, yd, xd] = x[b0:b1, :, ysrc, xsrc]
+        np.matmul(kmats[0], views[0][:m], out=z)
+        for i in range(1, kh):
+            z += np.matmul(kmats[i], views[i][:m], out=acc[:m])
+
+    return ci * kw * s * yn * wo + (co * ho * wo if kh > 1 else 0), scratch, conv
 
 
 def _conv2d(x, kernel, stride, pad, store=None):
-    """conv2d of a batched input. The sub-pixel path of conv2d_transposed
-    calls this, not conv2d, so a wrapper counting conv2d calls sees none
-    from it. With store, nothing is returned: each chunk's result goes to
-    store(b0, b1, z), z [b1-b0, C_out, H', W'] in the worker's own buffer."""
+    """conv2d of a batched input, lowered by kernel rows where C_in*kW >=
+    _ROW_MIN, else by the full im2col. The sub-pixel path of
+    conv2d_transposed calls this, not conv2d, so a wrapper counting conv2d
+    calls sees none from it. With store, nothing is returned: each chunk's
+    result goes to store(b0, b1, z), z [b1-b0, C_out, H', W'] in the
+    worker's own buffer."""
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
-    rows = ci * kh * kw
-    kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
+    lowering = _im2col if ci * kw < _ROW_MIN else _kernel_rows
+    sample, scratch, conv = lowering(x, kernel, stride, pad, ho, wo)
     out = None if store else np.empty((b, co, ho * wo), dtype=x.dtype)
-    chunks, n = _chunks(b, rows * ho * wo * x.itemsize)
+    chunks, n = _chunks(b, (sample + (co * ho * wo if store else 0)) * x.itemsize)
 
-    def scratch():
-        return (np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
-                np.empty((n, co, ho * wo), dtype=x.dtype) if store else None)
+    def buffers():
+        return scratch(n), np.empty((n, co, ho * wo), dtype=x.dtype) if store else None
 
     def job(_, b0, b1, bufs):
-        m = b1 - b0
-        cols = bufs[0][:m]
-        np.copyto(cols.reshape(m, ci, kh, kw, ho, wo), bufs[1](b0, b1))
-        if store is None:
-            np.matmul(kmat, cols, out=out[b0:b1])
-        else:
-            store(b0, b1, np.matmul(kmat, cols, out=bufs[2][:m]).reshape(m, co, ho, wo))
+        z = out[b0:b1] if store is None else bufs[1][: b1 - b0]
+        conv(b0, b1, bufs[0], z)
+        if store is not None:
+            store(b0, b1, z.reshape(b1 - b0, co, ho, wo))
 
-    _run_chunks(chunks, scratch, job)
+    _run_chunks(chunks, buffers, job)
     return None if store else out.reshape(b, co, ho, wo)

@@ -135,6 +135,28 @@ class TestTransformLikelihood:
         assert np.array_equal(pre, post)
         assert np.any(np.abs(post.sum(axis=1) - 1.0) > 1e-6)
 
+    @pytest.mark.parametrize("include_argmax", [False, True])
+    def test_single_boost_draw_matches_the_per_row_loop(self, include_argmax):
+        # boost_count=1 draws all rows at once; the reference is the loop
+        # kept for larger counts: the same entries and generator state
+        def loop(o, rng):
+            pre = o.copy()
+            for r in range(len(o)):
+                pool = np.arange(o.shape[1])
+                if not include_argmax:
+                    pool = np.delete(pool, o[r].argmax())
+                pre[r, rng.choice(pool, size=1, replace=False)] = o.dtype.type(0.95) * o[r].max()
+            return pre
+
+        cfg = TransformConfig(include_argmax=include_argmax)
+        for seed, (rows, classes) in enumerate([(128, 10)] * 5 + [(7, 2), (33, 3)]):
+            o = np.random.default_rng(100 + seed).dirichlet(np.ones(classes), size=rows)
+            o = o.astype(np.float32) if seed % 2 else o
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            pre, _ = transform_likelihood_with_pre(o, cfg, new)
+            assert pre.tobytes() == loop(o, old).tobytes()
+            assert new.bit_generator.state == old.bit_generator.state
+
     def test_same_rng_state_same_result(self):
         o = np.random.default_rng(6).dirichlet(np.ones(10), size=5)
         cfg = TransformConfig(boost_count=2)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,11 +105,28 @@ def transposed_path(monkeypatch, y, w, stride, pad):
         return tensor.conv2d_transposed(y, w, stride, pad), taken[0]
 
 
+def conv_lowerings(monkeypatch, fn, *args):
+    """fn(*args) and the lowerings _conv2d took on the way, in call order."""
+    taken = []
+    with monkeypatch.context() as m:
+        for name, tag in (("_im2col", "im2col"), ("_kernel_rows", "rows")):
+            def spy(*a, _lower=getattr(tensor, name), _tag=tag):
+                taken.append(_tag)
+                return _lower(*a)
+            m.setattr(tensor, name, spy)
+        return fn(*args), taken
+
+
 GEOMETRIES = [(1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5)]
 # the transposed conv takes the sub-pixel path where 2*C_in*stride^2 >=
 # C_out, else col2im; PATHS holds the path of each pair at strides 1 and 2
-CHANNELS = [(3, 4), (1, 4), (1, 16)]
-PATHS = {(3, 4): ("subpixel", "subpixel"), (1, 4): ("col2im", "subpixel"), (1, 16): ("col2im", "col2im")}
+CHANNELS = [(3, 4), (1, 4), (1, 16), (6, 8)]
+PATHS = {(3, 4): ("subpixel", "subpixel"), (1, 4): ("col2im", "subpixel"), (1, 16): ("col2im", "col2im"),
+         (6, 8): ("subpixel", "subpixel")}
+# _conv2d lowers by kernel rows where C_in*kW >= 16, else by the full
+# im2col; LOWERINGS holds the forward conv's lowering of each pair at the
+# 3x3 and 5x5 kernels of GEOMETRIES, (6, 8) the only one on the row path
+LOWERINGS = {(3, 4): "im2col", (1, 4): "im2col", (1, 16): "im2col", (6, 8): "rows"}
 
 
 @pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
@@ -133,6 +151,51 @@ def test_conv2d_transposed_matches_direct_loops(stride, pad, h, w, k, ci, co):
     want = conv2d_transposed_loops(y, wts, stride, pad)
     assert got.shape == want.shape == (2, ci, h, w)
     assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("ci,co", CHANNELS)
+@pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
+def test_conv2d_lowering_by_channels(monkeypatch, stride, pad, h, w, k, ci, co):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, ci, h, w))
+    wts = rng.standard_normal((co, ci, k, k))
+    got, taken = conv_lowerings(monkeypatch, tensor.conv2d, x, wts, stride, pad)
+    assert taken == [LOWERINGS[ci, co]]
+    assert np.allclose(got, conv2d_loops(x, wts, stride, pad), atol=1e-10)
+
+
+# every pad that leaves a non-empty 3x4 output (forward) or input
+# (transposed) map at strides 1-3 and kernels 3-6; the pairs sit on both
+# sides of the row path's C_in*kW >= 16 in the forward conv and in the
+# sub-pixel path's phase conv (C_out*ceil(k/s) input terms per row),
+# (4, 6) at k = 4 and (6, 8) at s = 2, k <= 4 on it exactly
+SWEEP = [(s, k, p) for s in (1, 2, 3) for k in (3, 4, 5, 6) for p in range((2 * s + k + 1) // 2)]
+
+
+@pytest.mark.parametrize("ci,co", [(4, 6), (6, 8)])
+@pytest.mark.parametrize("stride,k,pad", SWEEP)
+def test_row_lowering_matches_direct_loops(monkeypatch, stride, k, pad, ci, co):
+    rng = np.random.default_rng(24)
+    h, w = 2 * stride + k - 2 * pad, 3 * stride + k - 2 * pad
+    x = rng.standard_normal((3, ci, h, w))
+    y = rng.standard_normal((3, co, 3, 4))
+    wts = rng.standard_normal((co, ci, k, k))
+    got, taken = conv_lowerings(monkeypatch, tensor.conv2d, x, wts, stride, pad)
+    assert taken == ["rows" if ci * k >= 16 else "im2col"]
+    assert np.allclose(got, conv2d_loops(x, wts, stride, pad), atol=1e-10)
+    t = -(-k // stride)
+    subpixel = 2 * ci * stride * stride >= co and pad // stride <= t - 1
+    got_t, taken = conv_lowerings(monkeypatch, tensor.conv2d_transposed, y, wts, stride, pad)
+    assert taken == (["rows" if co * t >= 16 else "im2col"] if subpixel else [])
+    assert np.allclose(got_t, conv2d_transposed_loops(y, wts, stride, pad), atol=1e-10)
+    # one sample per chunk: the helper runs the middle one
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    bits = []
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
+        bits.append([tensor.conv2d(x, wts, stride, pad).tobytes(),
+                     tensor.conv2d_transposed(y, wts, stride, pad).tobytes()])
+    assert bits[0] == bits[1] == [got.tobytes(), got_t.tobytes()]
 
 
 # every pad that leaves a non-empty output, on a 3x4 upstream map:
@@ -214,7 +277,8 @@ def test_rectangular_kernel_matches_direct_loops():
 
 @pytest.mark.parametrize("ci,co,h,stride,cap", [(3, 4, 6, 1, 25000), (1, 4, 7, 2, 2500)])
 def test_batch_chunks_split_unevenly(monkeypatch, ci, co, h, stride, cap):
-    # a batch of 5 under a column cap of 2-3 samples: the last chunk is short
+    # a batch of 5 under a cap of 2-3 samples' im2col columns: chunks of
+    # unequal length
     k, pad = 3, 1
     ho = (h + 2 * pad - k) // stride + 1
     assert 1 < cap // (ci * k * k * ho * ho * 8) < 5
@@ -228,6 +292,69 @@ def test_batch_chunks_split_unevenly(monkeypatch, ci, co, h, stride, cap):
                        conv2d_transposed_loops(g, wts, stride, pad), atol=1e-10)
     assert np.allclose(tensor.conv2d_weight_grad(x, g, wts.shape, stride, pad),
                        conv2d_weight_grad_loops(x, g, wts.shape, stride, pad), atol=1e-10)
+
+
+def test_chunks_are_even_balanced_and_capped(monkeypatch):
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1000)
+    for b in range(1, 40):
+        for sample in (1, 7, 100, 333, 999, 1000, 1001, 5000):
+            chunks, n = tensor._chunks(b, sample)
+            sizes = [b1 - b0 for b0, b1 in chunks]
+            assert chunks[0][0] == 0 and chunks[-1][1] == b
+            assert all(c[1] == d[0] for c, d in zip(chunks, chunks[1:]))
+            assert max(sizes) - min(sizes) <= 1 and n == max(sizes) >= 1
+            assert n == 1 or n * sample <= 1000
+            # an odd count only where every chunk is one sample
+            assert len(chunks) % 2 == 0 or len(chunks) == b
+            # no more chunks than the cap needs, plus one to make them even
+            assert len(chunks) <= -(-b // max(1, min(b, 1000 // sample))) + 1
+
+
+# (name, cap, call) of the conv kernels at small's layer shapes, batch 24,
+# each lowering or path once: rows, rows through store= (sub-pixel at
+# stride 2), im2col, col2im and the weight gradient. Each cap holds a few
+# samples' scratch, and leaving out the accumulation or store buffer would
+# exceed it
+def _scratch_cases():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((24, 16, 14, 14)).astype(np.float32)
+    x1 = rng.standard_normal((24, 1, 28, 28)).astype(np.float32)
+    wts = rng.standard_normal((32, 16, 5, 5)).astype(np.float32)
+    w1 = rng.standard_normal((16, 1, 5, 5)).astype(np.float32)
+    y = rng.standard_normal((24, 32, 14, 14)).astype(np.float32)
+    y1 = rng.standard_normal((24, 16, 28, 28)).astype(np.float32)
+    return [("rows", 512 << 10, lambda: tensor.conv2d(x, wts, 1, 2)),
+            ("rows-store", 512 << 10,
+             lambda: tensor.conv2d_transposed(y[:, :, :7, :7], _box_sum(wts, 2), 2, 2)),
+            ("im2col", 512 << 10, lambda: tensor.conv2d(x1, w1, 1, 2)),
+            ("col2im", 512 << 10, lambda: tensor.conv2d_transposed(y1, w1, 1, 2)),
+            ("weight-grad", 1 << 20, lambda: tensor.conv2d_weight_grad(x, y, wts.shape, 1, 2))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_chunk_scratch_fits_the_cap(monkeypatch, case):
+    # every per-sample scratch byte counts against _COL_BYTES: what one
+    # worker's scratch() allocates stays within it, give or take the
+    # per-call buffers of kernel size (the weight gradient's partial sum)
+    name, cap, call = _scratch_cases()[case]
+    monkeypatch.setattr(tensor, "_COL_BYTES", cap)
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 1)
+    run, seen = tensor._run_chunks, []
+
+    def spy(chunks, scratch, job):
+        tracemalloc.start()
+        try:
+            bufs = scratch()
+            seen.append((chunks, tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        run(chunks, lambda: bufs, job)
+
+    monkeypatch.setattr(tensor, "_run_chunks", spy)
+    call()
+    (chunks, nbytes), = seen
+    assert len(chunks) % 2 == 0 and chunks[0][1] > 1, name
+    assert nbytes <= cap + 64 * 1024, name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -321,8 +448,8 @@ SPLIT_CASES = ([pytest.param(ci, co, h, w, k, stride, pad, id=f"geom-{stride}-{p
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ci,co,h,w,k,stride,pad", SPLIT_CASES)
 def test_two_workers_bit_identical_to_one(monkeypatch, dtype, ci, co, h, w, k, stride, pad):
-    # batch 5 in chunks of 2 samples (2, 2, 1): the weight gradient deals
-    # the middle chunk to the helper and sums three chunks
+    # batch 5 under a cap of 2 samples' im2col columns, in at least two
+    # chunks: the helper runs one, and the weight gradient sums them all
     ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     monkeypatch.setattr(tensor, "_COL_BYTES", 2 * ci * k * k * ho * wo * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(14)
