@@ -14,6 +14,13 @@ import numpy as np
 from .errors import ShapeError
 
 EPS = 1e-12
+# cross_entropy flushes logit-gradient entries smaller than this to 0. Rows
+# of o sum to 1, so they sit more than 20 orders of magnitude below each
+# row's large entries, and carried into the backward pass their products
+# fall into float32's subnormal range, where the GEMMs run many times
+# slower: on one repeated baseline batch, 9 of 26 steps took 1.4-6.4 s
+# against about 0.45 s, and none took over 1 s with the flush.
+FLUSH = 1e-30
 
 
 def one_hot(labels, n_classes, dtype=np.float32):
@@ -32,7 +39,8 @@ def cross_entropy(o, target):
     respect to the logits that produced o through a softmax.
 
     target may be hard one-hot rows or any distribution rows (soft
-    targets from transformed likelihoods use the same formula).
+    targets from transformed likelihoods use the same formula). Gradient
+    entries below FLUSH in magnitude are set to 0.
     """
     if o.shape != target.shape:
         raise ShapeError(f"output {o.shape} vs target {target.shape}")
@@ -41,6 +49,7 @@ def cross_entropy(o, target):
     # general form; reduces to (o - target)/b when target rows sum to 1
     row_mass = target.sum(axis=1, keepdims=True)
     g_logits = (o * row_mass - target) / o.dtype.type(b)
+    g_logits[np.abs(g_logits) < FLUSH] = 0
     return loss, g_logits
 
 

@@ -19,22 +19,30 @@ sample where that is larger:
     Where C_in*kW < _ROW_MIN (the 1- and 3-channel input convs), by the
     full im2col: a sliding-window view of the padded input is copied into
     columns, and kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'];
-  - weight gradient: cols[C_in*k*k, n*H'*W'] @ upstream[C_out, n*H'*W']^T,
-    the batch on the inner dimension, gives the kernel gradient's
-    transpose. The even chunks and the odd chunks sum into two halves, in
-    chunk order, and the halves are added, then transposed, last;
-  - transposed, one of two paths, chosen by one rule: where
-    2*C_in*s^2 >= C_out (square kernel, pad//s <= ceil(k/s)-1), the
-    sub-pixel path runs the forward kernel at stride 1 into C_in*s^2 phase
-    channels, with the kernel flipped, channel-swapped and split by output
-    phase, and copies each phase, chunk by chunk, to its strided pixels of
-    the C-contiguous output (depth-to-space); at s = 1 that is the forward
-    conv with the flipped kernel and padding k-1-pad, written straight into
-    the output. Elsewhere, col2im: kernel^T @ y gives the columns, scattered
-    back with one strided add per kernel offset into a padded chunk, whose
-    interior is copied to the output.
+  - weight gradient, with the batch on the GEMM's inner dimension, by the
+    same rule: by kernel rows, the chunk is copied once into the same
+    shifted copy with the batch between rows and columns, so that for each
+    kernel row i a strided view of it is one [C_in*kW, H'*n*W'] matrix, and
+    view @ upstream[C_out, H'*n*W']^T gives row i of the kernel gradient;
+    by the full im2col, cols[C_in*k*k, n*H'*W'] @ upstream[C_out, n*H'*W']^T
+    gives all of it. Either way C_out comes last; the even chunks and the
+    odd chunks sum into two halves, in chunk order, and the halves are
+    added, then transposed, last;
+  - transposed, one of two paths, chosen by one rule: at every stride
+    s > 1, and at s = 1 where 2*C_in >= C_out (square kernel,
+    pad//s <= ceil(k/s)-1), the sub-pixel path runs the forward kernel at
+    stride 1 into C_in*s^2 phase channels, with the kernel flipped,
+    channel-swapped and split by output phase, and copies each phase, chunk
+    by chunk, to its strided pixels of the C-contiguous output
+    (depth-to-space); at s = 1 that is the forward conv with the flipped
+    kernel and padding k-1-pad, written straight into the output.
+    Elsewhere (in the nets, the stride-1 reverses of the 1- and 3-channel
+    input convs), col2im: kernel^T @ y gives the columns, scattered back with one strided
+    add per kernel offset into a padded chunk, whose interior is copied to
+    the output.
 Padding also happens one chunk at a time, into a buffer whose border is
-zeroed once. The chunks are balanced: an even number of them, their
+zeroed once (the weight gradient's shifted copy: once per chunk length,
+as its layout depends on it). The chunks are balanced: an even number of them, their
 lengths differing by at most one.
 
 The chunks are shared between two workers, the calling thread and one
@@ -54,6 +62,7 @@ one worker and for two.
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -318,10 +327,12 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
     w = (wo - 1) * stride + kw - 2 * pad
     if h <= 0 or w <= 0:
         raise ShapeError(f"conv2d_transposed: degenerate output {h}x{w}")
-    if 2 * ci * stride * stride >= co and kh == kw and pad // stride < -(-kh // stride):
-        # per output pixel, the sub-pixel path's im2col moves about
-        # 2*C_out*k*k/s^4 words, col2im about 4*C_in*k*k/s^2, so the
-        # sub-pixel path wins unless C_in*s^2 is small next to C_out
+    if (stride > 1 or 2 * ci >= co) and kh == kw and pad // stride < -(-kh // stride):
+        # at stride 1 the sub-pixel path is the flipped forward conv, which
+        # loses to col2im where C_in is small next to C_out (1.1-1.7x its
+        # time at the 1- and 3-channel input convs); at stride > 1 its phase
+        # conv is s*s times smaller, and it won at every shape measured,
+        # small's 16 -> 1 folded input-conv reverse included (0.6x)
         out = _conv2d_transposed_subpixel(y, kernel, stride, pad, h, w)
         return out[0] if squeeze else out
     rows = ci * kh * kw
@@ -389,38 +400,33 @@ def _conv2d_transposed_subpixel(y, kernel, s, pad, h, w):
 
 
 def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
-    """Gradient of sum(upstream * conv2d(x, K)) with respect to K."""
+    """Gradient of sum(upstream * conv2d(x, K)) with respect to K, lowered
+    by kernel rows where C_in*kW >= _ROW_MIN, else by the full im2col."""
     x, _ = _as_batched(x)
     upstream, _ = _as_batched(upstream)
-    b, ci = x.shape[:2]
+    b, ci, h, w = x.shape
     co, _, kh, kw = kernel_shape
-    ho, wo = upstream.shape[2:]
-    rows = ci * kh * kw
-    padded = ci * (x.shape[2] + 2 * pad) * (x.shape[3] + 2 * pad) if pad else 0
-    chunks, n = _chunks(b, ((rows + co) * ho * wo + padded) * x.itemsize)
+    if upstream.shape != (b, co, *_conv_geometry(h, w, kh, kw, stride, pad)) or kernel_shape[1] != ci:
+        raise ShapeError(f"conv2d_weight_grad: upstream {upstream.shape} and input {x.shape} "
+                         f"do not fit kernel {tuple(kernel_shape)} at stride {stride}, pad {pad}")
+    lowering = _im2col_grad if ci * kw < _ROW_MIN else _kernel_rows_grad
+    sample, scratch, grad, part_shape, axes = lowering(x, upstream, (kh, kw), stride, pad)
+    chunks, n = _chunks(b, sample * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
     # halves, added last. Each half has one worker, so the result is the
-    # same for one worker and for two. The halves hold the transpose
-    # [C_in*k*k, C_out], transposed once at the end
-    halves = np.zeros((2, rows, co), dtype=x.dtype)
+    # same for one worker and for two. The halves hold the gradient with
+    # C_out last, transposed once at the end
+    halves = np.zeros((2, *part_shape), dtype=x.dtype)
 
-    def scratch():
-        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
-                np.empty(co * n * ho * wo, dtype=x.dtype), np.empty((rows, co), dtype=x.dtype))
+    def buffers():
+        return scratch(n), np.empty(part_shape, dtype=x.dtype)
 
     def job(i, b0, b1, bufs):
-        cbuf, windows, ubuf, part = bufs
-        m = b1 - b0
-        # batch on the GEMM's inner dimension: cols[C_in*k*k, m*H'*W']
-        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
-        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
-        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
-        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
-        np.matmul(cols.reshape(rows, m * ho * wo), u.reshape(co, m * ho * wo).T, out=part)
-        halves[i % 2] += part
+        grad(b0, b1, *bufs)
+        halves[i % 2] += bufs[1]
 
-    _run_chunks(chunks, scratch, job)
-    return np.ascontiguousarray((halves[0] + halves[1]).T).reshape(kernel_shape)
+    _run_chunks(chunks, buffers, job)
+    return np.ascontiguousarray((halves[0] + halves[1]).transpose(axes))
 
 
 def _windows(x, kh, kw, stride):
@@ -483,20 +489,44 @@ def _im2col(x, kernel, stride, pad, ho, wo):
     return rows * ho * wo + padded, scratch, conv
 
 
-def _kernel_rows(x, kernel, s, pad, ho, wo):
-    """The kernel-row lowering of _conv2d (MEC, Cho & Brand 2017), in the
-    same form as _im2col. x[b0:b1] is copied once into shifted[m, c, j, r,
-    Y, X] = xpad[m, c, s*Y + r, s*X + j] for j < kW, r < s, Y < H' +
-    (kH-1)//s and X < W', whose entries outside the input stay zero from
-    allocation on. Kernel row i = s*a + r then reads shifted[:, :, :, r,
-    a:a+H'] as one [C_in*kW, H'*W'] matrix per sample, with unit column
-    stride, so the GEMM takes it without a copy, and z gets the sum over i
-    of kernel[:, :, i, :] @ that view: row 0 written first, each later row
-    added through an accumulation buffer."""
+def _im2col_grad(x, upstream, kernel_hw, stride, pad):
+    """The full im2col lowering of conv2d_weight_grad: (per-sample scratch
+    elements, scratch(n), grad(b0, b1, bufs, part), the partial's shape, the
+    axes that make it [C_out, C_in, kH, kW]), where grad writes cols[C_in*kH*kW,
+    m*H'*W'] @ upstream[C_out, m*H'*W']^T of the chunk b0:b1, the batch on the
+    GEMM's inner dimension, into part [C_in, kH, kW, C_out]."""
     _, ci, h, w = x.shape
-    co, _, kh, kw = kernel.shape
+    co, ho, wo = upstream.shape[1:]
+    kh, kw = kernel_hw
+    rows = ci * kh * kw
+
+    def scratch(n):
+        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
+                np.empty(co * n * ho * wo, dtype=x.dtype))
+
+    def grad(b0, b1, bufs, part):
+        cbuf, windows, ubuf = bufs
+        m = b1 - b0
+        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
+        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
+        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
+        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
+        np.matmul(cols.reshape(rows, m * ho * wo), u.reshape(co, m * ho * wo).T, out=part.reshape(rows, co))
+
+    padded = ci * (h + 2 * pad) * (w + 2 * pad) if pad else 0
+    return (rows + co) * ho * wo + padded, scratch, grad, (ci, kh, kw, co), (3, 0, 1, 2)
+
+
+def _shifted(x, kh, kw, s, pad, ho, wo, axis):
+    """The shifted copy of the kernel-row lowerings (MEC, Cho & Brand 2017),
+    shifted[b, c, j, r, Y, X] = xpad[b, c, s*Y + r, s*X + j] for j < kW,
+    r < s, Y < H' + (kH-1)//s and X < W', with its batch axis moved to
+    position axis. Returns shape(m), the copy's shape for a batch of m, and
+    copy(shifted, b0, b1), which copies x[b0:b1] into shifted. It writes
+    only the entries inside the input, so the others keep whatever the
+    caller put there: zeros, for a conv."""
+    _, ci, h, w = x.shape
     yn = ho + (kh - 1) // s
-    kmats = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3), dtype=x.dtype).reshape(kh, co, ci * kw)
 
     def span(offset, size, n):
         # the shifted indices t < n whose source s*t + offset - pad lies in
@@ -513,8 +543,34 @@ def _kernel_rows(x, kernel, s, pad, ho, wo):
             if ys and xs:
                 copies.append((j, r, ys, xs))
 
+    def shape(m):
+        dims = [ci, kw, s, yn, wo]
+        dims.insert(axis, m)
+        return tuple(dims)
+
+    def copy(shifted, b0, b1):
+        shifted = np.moveaxis(shifted, axis, 0)
+        for j, r, (yd, ysrc), (xd, xsrc) in copies:
+            shifted[:, :, j, r, yd, xd] = x[b0:b1, :, ysrc, xsrc]
+
+    return shape, copy
+
+
+def _kernel_rows(x, kernel, s, pad, ho, wo):
+    """The kernel-row lowering of _conv2d, in the same form as _im2col.
+    x[b0:b1] is copied once into _shifted's copy, the batch first, whose
+    entries outside the input stay zero from allocation on. Kernel row
+    i = s*a + r then reads shifted[:, :, :, r, a:a+H'] as one
+    [C_in*kW, H'*W'] matrix per sample, with unit column stride, so the GEMM
+    takes it without a copy, and z gets the sum over i of kernel[:, :, i, :]
+    @ that view: row 0 written first, each later row added through an
+    accumulation buffer."""
+    co, ci, kh, kw = kernel.shape
+    kmats = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3), dtype=x.dtype).reshape(kh, co, ci * kw)
+    shape, copy = _shifted(x, kh, kw, s, pad, ho, wo, 0)
+
     def scratch(n):
-        shifted = np.zeros((n, ci, kw, s, yn, wo), dtype=x.dtype)
+        shifted = np.zeros(shape(n), dtype=x.dtype)
         views = [shifted[:, :, :, i % s, i // s : i // s + ho].reshape(n, ci * kw, ho * wo)
                  for i in range(kh)]
         return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if kh > 1 else None
@@ -522,13 +578,51 @@ def _kernel_rows(x, kernel, s, pad, ho, wo):
     def conv(b0, b1, bufs, z):
         shifted, views, acc = bufs
         m = b1 - b0
-        for j, r, (yd, ysrc), (xd, xsrc) in copies:
-            shifted[:m, :, j, r, yd, xd] = x[b0:b1, :, ysrc, xsrc]
+        copy(shifted[:m], b0, b1)
         np.matmul(kmats[0], views[0][:m], out=z)
         for i in range(1, kh):
             z += np.matmul(kmats[i], views[i][:m], out=acc[:m])
 
-    return ci * kw * s * yn * wo + (co * ho * wo if kh > 1 else 0), scratch, conv
+    return math.prod(shape(1)) + (co * ho * wo if kh > 1 else 0), scratch, conv
+
+
+def _kernel_rows_grad(x, upstream, kernel_hw, s, pad):
+    """The kernel-row lowering of conv2d_weight_grad, in the same form as
+    _im2col_grad. x[b0:b1] is copied once into _shifted's copy with the
+    batch between rows and columns, shifted[c, j, r, Y, m, X], and the
+    upstream chunk into u[C_out, H', m, W']. Kernel row i = s*a + r then
+    reads shifted[:, :, r, a:a+H'] as one [C_in*kW, H'*m*W'] matrix with unit
+    column stride, and part[i] [C_in, kW, C_out] gets that matrix @ u^T.
+    Each worker's copy is one flat buffer, shaped to each chunk's m: the
+    balanced chunks have at most two lengths, the longer first, so the
+    entries outside the input are zeroed when the copy is first shaped and
+    again at the one change of m."""
+    ci = x.shape[1]
+    co, ho, wo = upstream.shape[1:]
+    kh, kw = kernel_hw
+    shape, copy = _shifted(x, kh, kw, s, pad, ho, wo, 4)
+    sample = math.prod(shape(1))
+
+    def scratch(n):
+        return np.empty(n * sample, dtype=x.dtype), np.empty(co * n * ho * wo, dtype=x.dtype), [None]
+
+    def grad(b0, b1, bufs, part):
+        flat, ubuf, shaped = bufs
+        m = b1 - b0
+        if shaped[0] is None or shaped[0].shape[4] != m:
+            shaped[0] = flat[: m * sample].reshape(shape(m))
+            shaped[0].fill(0)
+        shifted = shaped[0]
+        copy(shifted, b0, b1)
+        u = ubuf[: co * m * ho * wo].reshape(co, ho, m, wo)
+        np.copyto(u, upstream[b0:b1].transpose(1, 2, 0, 3))
+        ut = u.reshape(co, ho * m * wo).T
+        for i in range(kh):
+            a = i // s
+            np.matmul(shifted[:, :, i % s, a : a + ho].reshape(ci * kw, ho * m * wo), ut,
+                      out=part[i].reshape(ci * kw, co))
+
+    return sample + co * ho * wo, scratch, grad, (kh, ci, kw, co), (3, 1, 0, 2)
 
 
 def _conv2d(x, kernel, stride, pad, store=None):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revnet.errors import ShapeError
-from revnet.losses import EPS, LossReport, cross_entropy, one_hot, reconstruction_mse
+from revnet.losses import EPS, FLUSH, LossReport, cross_entropy, one_hot, reconstruction_mse
 
 
 def softmax_rows(z):
@@ -131,6 +131,12 @@ class TestCrossEntropyGradient:
         t = one_hot(np.array([1, 3, 0]), 4, dtype=np.float64)
         _, g = cross_entropy(o, t)
         assert np.allclose(g, (o - t) / 3.0, atol=1e-15)
+
+    def test_flushes_entries_below_the_threshold_only(self):
+        o = np.array([[1.0, 3 * FLUSH, 0.1 * FLUSH], [0.25, 0.75, 0.0]])
+        t = one_hot(np.array([0, 1]), 3, dtype=np.float64)
+        _, g = cross_entropy(o, t)
+        assert np.array_equal(g, [[0.0, 1.5 * FLUSH, 0.0], [0.125, -0.125, 0.0]])
 
 
 class TestReconstruction:

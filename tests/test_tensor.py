@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from revnet import tensor
 from revnet.errors import ShapeError
@@ -106,10 +107,12 @@ def transposed_path(monkeypatch, y, w, stride, pad):
 
 
 def conv_lowerings(monkeypatch, fn, *args):
-    """fn(*args) and the lowerings _conv2d took on the way, in call order."""
+    """fn(*args) and the lowerings _conv2d and conv2d_weight_grad took on
+    the way, in call order."""
     taken = []
     with monkeypatch.context() as m:
-        for name, tag in (("_im2col", "im2col"), ("_kernel_rows", "rows")):
+        for name, tag in (("_im2col", "im2col"), ("_kernel_rows", "rows"),
+                          ("_im2col_grad", "im2col"), ("_kernel_rows_grad", "rows")):
             def spy(*a, _lower=getattr(tensor, name), _tag=tag):
                 taken.append(_tag)
                 return _lower(*a)
@@ -118,13 +121,14 @@ def conv_lowerings(monkeypatch, fn, *args):
 
 
 GEOMETRIES = [(1, 0, 6, 6, 3), (1, 2, 6, 6, 5), (2, 1, 9, 7, 3), (1, 1, 5, 7, 3), (2, 2, 7, 7, 5)]
-# the transposed conv takes the sub-pixel path where 2*C_in*stride^2 >=
-# C_out, else col2im; PATHS holds the path of each pair at strides 1 and 2
+# the transposed conv takes the sub-pixel path at every stride > 1 and at
+# stride 1 where 2*C_in >= C_out, else col2im; PATHS holds the path of each
+# pair at strides 1 and 2
 CHANNELS = [(3, 4), (1, 4), (1, 16), (6, 8)]
-PATHS = {(3, 4): ("subpixel", "subpixel"), (1, 4): ("col2im", "subpixel"), (1, 16): ("col2im", "col2im"),
+PATHS = {(3, 4): ("subpixel", "subpixel"), (1, 4): ("col2im", "subpixel"), (1, 16): ("col2im", "subpixel"),
          (6, 8): ("subpixel", "subpixel")}
-# _conv2d lowers by kernel rows where C_in*kW >= 16, else by the full
-# im2col; LOWERINGS holds the forward conv's lowering of each pair at the
+# _conv2d and conv2d_weight_grad lower by kernel rows where C_in*kW >= 16,
+# else by the full im2col; LOWERINGS holds the lowering of each pair at the
 # 3x3 and 5x5 kernels of GEOMETRIES, (6, 8) the only one on the row path
 LOWERINGS = {(3, 4): "im2col", (1, 4): "im2col", (1, 16): "im2col", (6, 8): "rows"}
 
@@ -184,7 +188,7 @@ def test_row_lowering_matches_direct_loops(monkeypatch, stride, k, pad, ci, co):
     assert taken == ["rows" if ci * k >= 16 else "im2col"]
     assert np.allclose(got, conv2d_loops(x, wts, stride, pad), atol=1e-10)
     t = -(-k // stride)
-    subpixel = 2 * ci * stride * stride >= co and pad // stride <= t - 1
+    subpixel = (stride > 1 or 2 * ci >= co) and pad // stride <= t - 1
     got_t, taken = conv_lowerings(monkeypatch, tensor.conv2d_transposed, y, wts, stride, pad)
     assert taken == (["rows" if co * t >= 16 else "im2col"] if subpixel else [])
     assert np.allclose(got_t, conv2d_transposed_loops(y, wts, stride, pad), atol=1e-10)
@@ -220,10 +224,10 @@ def test_strided_transposed_paths_match_direct_loops(monkeypatch, stride, k, pad
 
 # (C_in, C_out, H') of the stride-2 transposed convs that the upsample-mode
 # reverse runs with a 5x5 kernel box-summed to 6x6, pad 2: small's 16 -> 32
-# and baseline's 32 -> 32 and 64 -> 64 take the sub-pixel path, small's
-# input conv 1 -> 16 col2im
+# and input conv 1 -> 16, and baseline's 32 -> 32 and 64 -> 64, all on the
+# sub-pixel path
 FOLDED = [(16, 32, 7, "subpixel"), (32, 32, 16, "subpixel"), (64, 64, 8, "subpixel"),
-          (1, 16, 14, "col2im")]
+          (1, 16, 14, "subpixel")]
 
 
 @pytest.mark.parametrize("ci,co,ho,path", FOLDED)
@@ -249,17 +253,86 @@ def test_folded_reverse_shapes(monkeypatch, ci, co, ho, path):
         assert one.tobytes() == two.tobytes()
 
 
+# the correctness gate's share of the summed term magnitudes (RTOL in
+# bench/reference.py)
+RTOL = 1e-4
+
+
+def weight_grad_reference(x, g, k, stride, pad):
+    """conv2d_weight_grad in float64, by one einsum over a sliding-window
+    view of the padded input."""
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("bohw,bchwij->ocij", np.asarray(g, dtype=np.float64), win, optimize=True)
+
+
+@pytest.mark.parametrize("ci,co,ho", [shape[:3] for shape in FOLDED])
+def test_folded_weight_grads_match_the_reference(monkeypatch, ci, co, ho):
+    # the reverse adjoint's stride-2 gradient of the box-summed 6x6 kernel,
+    # in float32, within RTOL of the summed term magnitudes
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((5, ci, 2 * ho, 2 * ho)).astype(np.float32)
+    g = rng.standard_normal((5, co, ho, ho)).astype(np.float32)
+    got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, 6, 6), 2, 2)
+    assert taken == ["rows" if ci * 6 >= 16 else "im2col"]
+    assert got.dtype == np.float32
+    err = np.abs(got - weight_grad_reference(x, g, 6, 2, 2))
+    assert np.all(err <= RTOL * weight_grad_reference(np.abs(x), np.abs(g), 6, 2, 2))
+
+
 @pytest.mark.parametrize("ci,co", CHANNELS)
 @pytest.mark.parametrize("stride,pad,h,w,k", GEOMETRIES)
-def test_conv2d_weight_grad_matches_direct_loops(stride, pad, h, w, k, ci, co):
+def test_conv2d_weight_grad_matches_direct_loops(monkeypatch, stride, pad, h, w, k, ci, co):
     rng = np.random.default_rng(9)
     ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     x = rng.standard_normal((2, ci, h, w))
     g = rng.standard_normal((2, co, ho, wo))
-    got = tensor.conv2d_weight_grad(x, g, (co, ci, k, k), stride, pad)
+    got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, k, k), stride, pad)
     want = conv2d_weight_grad_loops(x, g, (co, ci, k, k), stride, pad)
+    assert taken == [LOWERINGS[ci, co]]
     assert got.shape == (co, ci, k, k)
     assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("ci,co", [(1, 16), (4, 6), (6, 8)])
+@pytest.mark.parametrize("stride,k,pad", SWEEP)
+def test_weight_grad_lowering_matches_direct_loops(monkeypatch, stride, k, pad, ci, co):
+    # SWEEP's geometries on a 3x4 output map; (4, 6) crosses C_in*kW >= 16
+    # between k = 3 and 4
+    rng = np.random.default_rng(27)
+    h, w = 2 * stride + k - 2 * pad, 3 * stride + k - 2 * pad
+    x = rng.standard_normal((3, ci, h, w))
+    g = rng.standard_normal((3, co, 3, 4))
+    got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, k, k), stride, pad)
+    assert taken == ["rows" if ci * k >= 16 else "im2col"]
+    assert np.allclose(got, conv2d_weight_grad_loops(x, g, (co, ci, k, k), stride, pad), atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,k,pad", [(1, 5, 2), (2, 6, 2), (3, 4, 1), (2, 3, 1)])
+def test_weight_grad_chunks_of_two_lengths(monkeypatch, dtype, stride, k, pad):
+    # batch 10 under a cap of 3 samples' scratch: chunks of 3, 3, 2 and 2.
+    # One worker runs all four, the caller of two runs chunks 0 and 2, so
+    # either reshapes its shifted copy from m = 3 to m = 2 once, where the
+    # padding border must be zeroed again
+    ci, co, ho, wo = 6, 5, 4, 3
+    h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((10, ci, h, w)).astype(dtype)
+    g = rng.standard_normal((10, co, ho, wo)).astype(dtype)
+    sample = tensor._kernel_rows_grad(x, g, (k, k), stride, pad)[0] * x.itemsize
+    monkeypatch.setattr(tensor, "_COL_BYTES", 3 * sample)
+    assert [b1 - b0 for b0, b1 in tensor._chunks(10, sample)[0]] == [3, 3, 2, 2]
+    bits = []
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
+        got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, k, k), stride, pad)
+        assert taken == ["rows"] and got.dtype == dtype
+        want = conv2d_weight_grad_loops(x.astype(np.float64), g.astype(np.float64), (co, ci, k, k), stride, pad)
+        assert np.allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12,
+                           atol=1e-4 if dtype == np.float32 else 1e-10)
+        bits.append(got.tobytes())
+    assert bits[0] == bits[1]
 
 
 def test_rectangular_kernel_matches_direct_loops():
@@ -312,9 +385,10 @@ def test_chunks_are_even_balanced_and_capped(monkeypatch):
 
 # (name, cap, call) of the conv kernels at small's layer shapes, batch 24,
 # each lowering or path once: rows, rows through store= (sub-pixel at
-# stride 2), im2col, col2im and the weight gradient. Each cap holds a few
-# samples' scratch, and leaving out the accumulation or store buffer would
-# exceed it
+# stride 2), im2col, col2im, and the weight gradient by rows, by im2col and
+# by rows at stride 2. Each cap holds a few samples' scratch, and leaving
+# out the accumulation, store or upstream buffer would exceed it (in every
+# case but the last, whose upstream buffer is small)
 def _scratch_cases():
     rng = np.random.default_rng(25)
     x = rng.standard_normal((24, 16, 14, 14)).astype(np.float32)
@@ -328,10 +402,13 @@ def _scratch_cases():
              lambda: tensor.conv2d_transposed(y[:, :, :7, :7], _box_sum(wts, 2), 2, 2)),
             ("im2col", 512 << 10, lambda: tensor.conv2d(x1, w1, 1, 2)),
             ("col2im", 512 << 10, lambda: tensor.conv2d_transposed(y1, w1, 1, 2)),
-            ("weight-grad", 1 << 20, lambda: tensor.conv2d_weight_grad(x, y, wts.shape, 1, 2))]
+            ("weight-grad", 1 << 20, lambda: tensor.conv2d_weight_grad(x, y, wts.shape, 1, 2)),
+            ("weight-grad-im2col", 512 << 10, lambda: tensor.conv2d_weight_grad(x1, y1, w1.shape, 1, 2)),
+            ("weight-grad-strided", 256 << 10,
+             lambda: tensor.conv2d_weight_grad(x, y[:, :, :7, :7], (32, 16, 6, 6), 2, 2))]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(7))
 def test_chunk_scratch_fits_the_cap(monkeypatch, case):
     # every per-sample scratch byte counts against _COL_BYTES: what one
     # worker's scratch() allocates stays within it, give or take the
@@ -623,6 +700,16 @@ def test_conv2d_rejects_kernel_overflow():
     w = np.zeros((1, 1, 7, 7))
     with pytest.raises(ShapeError):
         tensor.conv2d(x, w, stride=1, pad=0)
+
+
+def test_weight_grad_rejects_upstream_of_another_shape():
+    x = np.zeros((2, 6, 8, 8))
+    for upstream, kernel_shape in [(np.zeros((2, 5, 4, 4)), (5, 6, 3, 3)),  # stride 1 gives 8x8
+                                   (np.zeros((2, 4, 8, 8)), (5, 6, 3, 3)),
+                                   (np.zeros((3, 5, 8, 8)), (5, 6, 3, 3)),
+                                   (np.zeros((2, 5, 8, 8)), (5, 4, 3, 3))]:
+        with pytest.raises(ShapeError):
+            tensor.conv2d_weight_grad(x, upstream, kernel_shape, 1, 1)
 
 
 def test_conv2d_single_sample_rank3():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reference_trainer import PlainMlpTrainer
-from revnet import tensor
+from revnet import losses, tensor
 from revnet.errors import ConfigError, NumericError
 from revnet.layers import ReverseConfig
 from revnet.network import NetworkSpec
@@ -416,6 +416,53 @@ class TestSgdUpdate:
                     [{n: a.tobytes() for n, a in e.items()} for e in want]
         if clip:  # clipping fired on both steps
             assert sum(float(np.sum(np.square(g))) for e in acc for g in e.values()) > clip ** 2
+
+
+class TestSaturatedStep:
+    # logits spanning more than 100 put softmax outputs below float32's
+    # smallest normal; the flushed logit gradient keeps their products out
+    # of the conv kernels, and the step still matches an unflushed float64 one
+
+    @staticmethod
+    def saturated(dtype):
+        spec = NetworkSpec((1, 8, 8), 3, ["conv:4:3", "lrelu", "pool:2", "conv:6:3", "lrelu",
+                                          "dense:3", "softmax"])
+        net = spec.build(np.random.default_rng(4), dtype=dtype)
+        net.layers[net.final_dense_idx].W *= 30
+        return net
+
+    @staticmethod
+    def step_subnormals(monkeypatch, net, batch):
+        """The subnormal entries of every array that reached a conv kernel
+        in one train_step, and the step's parameter updates."""
+        found = []
+        with monkeypatch.context() as m:
+            for name in ("conv2d", "conv2d_transposed", "conv2d_weight_grad"):
+                def spy(*args, _kernel=getattr(tensor, name)):
+                    for a in args:
+                        if isinstance(a, np.ndarray):
+                            mag = np.abs(a)
+                            found.append(int(np.count_nonzero((mag > 0) & (mag < np.finfo(a.dtype).tiny))))
+                    return _kernel(*args)
+                m.setattr(tensor, name, spy)
+            before = [l.W.copy() for l in net.param_layers()]
+            train_step(net, batch, TrainConfig(), np.random.default_rng(5))
+        return found, [l.W - w for l, w in zip(net.param_layers(), before)]
+
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_no_subnormal_reaches_a_conv_kernel(self, monkeypatch, flush):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 1, 8, 8)), np.array([0, 1, 2, 1, 0, 2])
+        o = self.saturated(np.float64).feed_forward(x)[0]
+        assert np.all(np.log(o).max(axis=1) - np.log(o).min(axis=1) > 100)
+        if not flush:  # the same step unflushed: the check has something to find
+            monkeypatch.setattr(losses, "FLUSH", 0.0)
+        found, got = self.step_subnormals(monkeypatch, self.saturated(np.float32), (x.astype(np.float32), y))
+        assert len(found) > 10 and (sum(found) == 0) == flush
+        monkeypatch.setattr(losses, "FLUSH", 0.0)
+        _, want = self.step_subnormals(monkeypatch, self.saturated(np.float64), (x, y))
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-4, atol=1e-4 * np.max(np.abs(w)))
 
 
 class TestDescent:
