@@ -7,43 +7,43 @@ cross-correlation semantics (no kernel flip) with zero padding.
 
 The three convolution kernels (forward, transposed/adjoint, weight
 gradient) are matrix products over the input, lowered one chunk of the
-batch at a time. All of a chunk's scratch (lowered input, padded input,
-accumulation and store buffers) fits _COL_BYTES bytes, or holds one
-sample where that is larger:
-  - forward, by kernel rows (Cho & Brand, MEC, ICML 2017) where C_in*kW >=
-    _ROW_MIN: the chunk is copied once into kW column-shifted copies of
-    the padded input, a strided view of which is, for each kernel row,
-    a [C_in*kW, H'*W'] matrix per sample; out = sum over kernel rows i of
-    kernel[:, :, i, :] @ that view, written straight into the
-    [B, C_out, H'*W'] output, the later rows added through a buffer.
-    Where C_in*kW < _ROW_MIN (the 1- and 3-channel input convs), by the
-    full im2col: a sliding-window view of the padded input is copied into
-    columns, and kernel[C_out, C_in*k*k] @ cols[n, C_in*k*k, H'*W'];
-  - weight gradient, with the batch on the GEMM's inner dimension, by the
-    same rule: by kernel rows, the chunk is copied once into the same
-    shifted copy with the batch between rows and columns, so that for each
-    kernel row i a strided view of it is one [C_in*kW, H'*n*W'] matrix, and
-    view @ upstream[C_out, H'*n*W']^T gives row i of the kernel gradient;
-    by the full im2col, cols[C_in*k*k, n*H'*W'] @ upstream[C_out, n*H'*W']^T
-    gives all of it. Either way C_out comes last; the even chunks and the
-    odd chunks sum into two halves, in chunk order, and the halves are
-    added, then transposed, last;
-  - transposed, one of two paths, chosen by one rule: at every stride
-    s > 1, and at s = 1 where 2*C_in >= C_out (square kernel,
-    pad//s <= ceil(k/s)-1), the sub-pixel path runs the forward kernel at
-    stride 1 into C_in*s^2 phase channels, with the kernel flipped,
-    channel-swapped and split by output phase, and copies each phase, chunk
-    by chunk, to its strided pixels of the C-contiguous output
-    (depth-to-space); at s = 1 that is the forward conv with the flipped
-    kernel and padding k-1-pad, written straight into the output.
-    Elsewhere (in the nets, the stride-1 reverses of the 1- and 3-channel
-    input convs), col2im: kernel^T @ y gives the columns, scattered back with one strided
-    add per kernel offset into a padded chunk, whose interior is copied to
-    the output.
-Padding also happens one chunk at a time, into a buffer whose border is
-zeroed once (the weight gradient's shifted copy: once per chunk length,
-as its layout depends on it). The chunks are balanced: an even number of them, their
-lengths differing by at most one.
+batch at a time through one index map, _shifted's copy of the zero-padded
+input (MEC: Cho & Brand, ICML 2017):
+    shifted[b, c, j, r, Y, X] = xpad[b, c, s*Y + r, s*X + j],  j < kW, X < W'.
+The copy writes only the entries inside the input; the others stay zero
+(the weight gradient's copy is zeroed once per chunk length, as its layout
+depends on it). It has two forms, and one rule picks one for the forward
+conv and for the weight gradient:
+  - rows form, where C_in*kW >= _ROW_MIN: r < s and Y < H' + (kH-1)//s.
+    Kernel row i = s*a + r reads [.., r, a:a+H', ..] as one [C_in*kW, ...]
+    matrix with unit column stride, so each of the kH GEMMs takes a view;
+  - full form, where C_in*kW < _ROW_MIN (the 1- and 3-channel input
+    convs): r < kH and Y < H', the full im2col (Chellapilla, Puri & Simard
+    2006), which one GEMM of depth C_in*kW*kH reads whole, with the kernel
+    permuted to (c, j, i).
+The forward conv puts the batch first and sums kernel rows @ view over its
+GEMMs, per sample, straight into the [B, C_out, H'*W'] output, the later
+GEMMs added through a buffer. The weight gradient puts the batch between
+rows and columns, shifted[c, j, r, Y, n, X], so that each view is one
+[.., H'*n*W'] matrix and view @ upstream[C_out, H'*n*W']^T gives its
+kernel rows' gradient with C_out last; the even chunks and the odd chunks
+sum into two halves, in chunk order, and the halves are added, then
+transposed, last. The transposed conv takes one of two paths, by one rule:
+  - sub-pixel, at every stride s > 1, and at s = 1 where 2*C_in >= C_out
+    (square kernel, pad//s <= ceil(k/s)-1): the forward conv at stride 1
+    into C_in*s^2 phase channels, with the kernel flipped, channel-swapped
+    and split by output phase, each phase then copied, chunk by chunk, to
+    its strided pixels of the C-contiguous output (depth-to-space); at
+    s = 1, the forward conv with the flipped kernel and padding k-1-pad,
+    written straight into the output;
+  - col2im elsewhere (in the nets, the stride-1 reverses of the 1- and
+    3-channel input convs), the adjoint of the full form: kernel^T @ y
+    gives a chunk's full copy, and the copy's adjoint adds each of its
+    spans into the output.
+All of a chunk's scratch (the copy, accumulation, upstream and store
+buffers) fits _COL_BYTES bytes, or holds one sample where that is larger.
+The chunks are balanced: an even number of them, their lengths differing
+by at most one.
 
 The chunks are shared between two workers, the calling thread and one
 persistent helper thread, each with its own buffers, while every BLAS
@@ -68,22 +68,22 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
 SINGLE = np.float32
 
-# Cap on all the per-chunk scratch of a conv kernel: lowered input (im2col
-# columns or shifted rows), padded input, accumulation and store buffers.
+# Cap on all the per-chunk scratch of a conv kernel: the shifted copy of the
+# input (or col2im's columns), accumulation, upstream and store buffers.
 # An unchunked im2col buffer for a 32-channel 5x5 conv on 32x32 maps is
 # about 100 MB at batch 32. On a 2-CPU x86-64 VM with 2 MB of L2 per core,
 # caps of 1-4 MB ran every layer shape of the small and baseline nets
 # fastest; 8 and 16 MB were up to 1.5x slower on the 32-64 channel layers.
 _COL_BYTES = 2 << 20
 
-# _conv2d lowers by kernel rows where C_in*kW (one row's GEMM depth) is at
-# least this, else by the full im2col. On the same VM, by one-worker CPU
+# The forward conv and the weight gradient run one kernel row per GEMM where
+# C_in*kW (one row's GEMM depth) is at least this, else all kH rows in one
+# GEMM (the full im2col). On the same VM, by one-worker CPU
 # time, the row path took 0.94-1.21x im2col's time at C_in*kW = 15
 # (baseline's 3-channel input conv, no gain), 0.81-0.88x at 20, and
 # 1.6-2.3x at 5 (small's 1-channel input conv).
@@ -335,29 +335,20 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
         # small's 16 -> 1 folded input-conv reverse included (0.6x)
         out = _conv2d_transposed_subpixel(y, kernel, stride, pad, h, w)
         return out[0] if squeeze else out
-    rows = ci * kh * kw
-    kmat_t = np.ascontiguousarray(kernel.reshape(co, rows).T, dtype=y.dtype)
+    # col2im: kernel^T @ y gives each chunk's full-form shifted copy, whose
+    # adjoint adds it into the output
+    shape, _, _, add = _shifted((ci, h, w), kh, kw, stride, pad, ho, wo, 0, True)
+    rows = ci * kw * kh
+    kmat_t = np.ascontiguousarray(kernel.transpose(1, 3, 2, 0), dtype=y.dtype).reshape(rows, co)
     yf = np.ascontiguousarray(y).reshape(b, co, ho * wo)
-    out = np.empty((b, ci, h, w), dtype=y.dtype)
-    chunks, n = _chunks(b, (rows * ho * wo + ci * (h + 2 * pad) * (w + 2 * pad)) * y.itemsize)
+    out = np.zeros((b, ci, h, w), dtype=y.dtype)
+    chunks, n = _chunks(b, rows * ho * wo * y.itemsize)
 
-    def scratch():
-        return (np.empty((n, rows, ho * wo), dtype=y.dtype),
-                np.empty((n, ci, h + 2 * pad, w + 2 * pad), dtype=y.dtype))
-
-    def job(_, b0, b1, bufs):
+    def job(_, b0, b1, cols):
         m = b1 - b0
-        cols = np.matmul(kmat_t, yf[b0:b1], out=bufs[0][:m]).reshape(m, ci, kh, kw, ho, wo)
-        xp = bufs[1][:m]
-        xp.fill(0)
-        # col2im: each kernel offset's column block lands on a strided window
-        for i in range(kh):
-            rs = slice(i, i + (ho - 1) * stride + 1, stride)
-            for j in range(kw):
-                xp[:, :, rs, j : j + (wo - 1) * stride + 1 : stride] += cols[:, :, i, j]
-        out[b0:b1] = xp[:, :, pad : pad + h, pad : pad + w]
+        add(np.matmul(kmat_t, yf[b0:b1], out=cols[:m]).reshape(shape(m)), out[b0:b1])
 
-    _run_chunks(chunks, scratch, job)
+    _run_chunks(chunks, lambda: np.empty((n, rows, ho * wo), dtype=y.dtype), job)
     return out[0] if squeeze else out
 
 
@@ -401,7 +392,7 @@ def _conv2d_transposed_subpixel(y, kernel, s, pad, h, w):
 
 def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     """Gradient of sum(upstream * conv2d(x, K)) with respect to K, lowered
-    by kernel rows where C_in*kW >= _ROW_MIN, else by the full im2col."""
+    like _conv2d: kH kernel rows per GEMM where C_in*kW < _ROW_MIN, else one."""
     x, _ = _as_batched(x)
     upstream, _ = _as_batched(upstream)
     b, ci, h, w = x.shape
@@ -409,13 +400,13 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     if upstream.shape != (b, co, *_conv_geometry(h, w, kh, kw, stride, pad)) or kernel_shape[1] != ci:
         raise ShapeError(f"conv2d_weight_grad: upstream {upstream.shape} and input {x.shape} "
                          f"do not fit kernel {tuple(kernel_shape)} at stride {stride}, pad {pad}")
-    lowering = _im2col_grad if ci * kw < _ROW_MIN else _kernel_rows_grad
-    sample, scratch, grad, part_shape, axes = lowering(x, upstream, (kh, kw), stride, pad)
+    sample, scratch, grad, part_shape = _kernel_rows_grad(x, upstream, (kh, kw), stride, pad,
+                                                          ci * kw < _ROW_MIN)
     chunks, n = _chunks(b, sample * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
     # halves, added last. Each half has one worker, so the result is the
-    # same for one worker and for two. The halves hold the gradient with
-    # C_out last, transposed once at the end
+    # same for one worker and for two. The halves hold the gradient as
+    # [GEMMs, C_in, kW, kernel rows per GEMM, C_out], transposed once at the end
     halves = np.zeros((2, *part_shape), dtype=x.dtype)
 
     def buffers():
@@ -426,31 +417,7 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
         halves[i % 2] += bufs[1]
 
     _run_chunks(chunks, buffers, job)
-    return np.ascontiguousarray((halves[0] + halves[1]).transpose(axes))
-
-
-def _windows(x, kh, kw, stride):
-    """[B,C,H,W] -> [B,C,kH,kW,H',W'] view."""
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3)
-
-
-def _chunk_windows(x, n, kh, kw, stride, pad):
-    """A function (b0, b1) -> _windows of x[b0:b1] zero-padded by pad, for
-    chunks of up to n samples. With pad, each chunk is copied into the
-    interior of the function's own buffer, whose border stays zero."""
-    if not pad:
-        win = _windows(x, kh, kw, stride)
-        return lambda b0, b1: win[b0:b1]
-    _, c, h, w = x.shape
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    win = _windows(buf, kh, kw, stride)
-
-    def chunk(b0, b1):
-        buf[: b1 - b0, :, pad:-pad, pad:-pad] = x[b0:b1]
-        return win[: b1 - b0]
-
-    return chunk
+    return np.ascontiguousarray((halves[0] + halves[1]).transpose(4, 1, 0, 3, 2)).reshape(co, ci, kh, kw)
 
 
 def _chunks(b, sample_bytes):
@@ -468,65 +435,27 @@ def _chunks(b, sample_bytes):
     return list(zip(starts[:-1], starts[1:])), size + (extra > 0)
 
 
-def _im2col(x, kernel, stride, pad, ho, wo):
-    """The full im2col lowering of _conv2d: (per-sample scratch elements,
-    scratch(n), conv(b0, b1, bufs, z)), where conv writes kernel[C_out,
-    C_in*kH*kW] @ cols[m, C_in*kH*kW, H'*W'] of x[b0:b1] into z."""
-    _, ci, h, w = x.shape
-    co, _, kh, kw = kernel.shape
-    rows = ci * kh * kw
-    kmat = kernel.reshape(co, rows).astype(x.dtype, copy=False)
-
-    def scratch(n):
-        return np.empty((n, rows, ho * wo), dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad)
-
-    def conv(b0, b1, bufs, z):
-        cols = bufs[0][: b1 - b0]
-        np.copyto(cols.reshape(b1 - b0, ci, kh, kw, ho, wo), bufs[1](b0, b1))
-        np.matmul(kmat, cols, out=z)
-
-    padded = ci * (h + 2 * pad) * (w + 2 * pad) if pad else 0
-    return rows * ho * wo + padded, scratch, conv
-
-
-def _im2col_grad(x, upstream, kernel_hw, stride, pad):
-    """The full im2col lowering of conv2d_weight_grad: (per-sample scratch
-    elements, scratch(n), grad(b0, b1, bufs, part), the partial's shape, the
-    axes that make it [C_out, C_in, kH, kW]), where grad writes cols[C_in*kH*kW,
-    m*H'*W'] @ upstream[C_out, m*H'*W']^T of the chunk b0:b1, the batch on the
-    GEMM's inner dimension, into part [C_in, kH, kW, C_out]."""
-    _, ci, h, w = x.shape
-    co, ho, wo = upstream.shape[1:]
-    kh, kw = kernel_hw
-    rows = ci * kh * kw
-
-    def scratch(n):
-        return (np.empty(n * rows * ho * wo, dtype=x.dtype), _chunk_windows(x, n, kh, kw, stride, pad),
-                np.empty(co * n * ho * wo, dtype=x.dtype))
-
-    def grad(b0, b1, bufs, part):
-        cbuf, windows, ubuf = bufs
-        m = b1 - b0
-        cols = cbuf[: rows * m * ho * wo].reshape(ci, kh, kw, m, ho, wo)
-        np.copyto(cols, windows(b0, b1).transpose(1, 2, 3, 0, 4, 5))
-        u = ubuf[: co * m * ho * wo].reshape(co, m, ho, wo)
-        np.copyto(u, upstream[b0:b1].transpose(1, 0, 2, 3))
-        np.matmul(cols.reshape(rows, m * ho * wo), u.reshape(co, m * ho * wo).T, out=part.reshape(rows, co))
-
-    padded = ci * (h + 2 * pad) * (w + 2 * pad) if pad else 0
-    return (rows + co) * ho * wo + padded, scratch, grad, (ci, kh, kw, co), (3, 0, 1, 2)
-
-
-def _shifted(x, kh, kw, s, pad, ho, wo, axis):
-    """The shifted copy of the kernel-row lowerings (MEC, Cho & Brand 2017),
-    shifted[b, c, j, r, Y, X] = xpad[b, c, s*Y + r, s*X + j] for j < kW,
-    r < s, Y < H' + (kH-1)//s and X < W', with its batch axis moved to
-    position axis. Returns shape(m), the copy's shape for a batch of m, and
-    copy(shifted, b0, b1), which copies x[b0:b1] into shifted. It writes
-    only the entries inside the input, so the others keep whatever the
-    caller put there: zeros, for a conv."""
-    _, ci, h, w = x.shape
-    yn = ho + (kh - 1) // s
+def _shifted(chw, kh, kw, s, pad, ho, wo, axis, full):
+    """The shifted copy through which every conv kernel lowers its input
+    (MEC, Cho & Brand 2017): shifted[b, c, j, r, Y, X] = xpad[b, c, s*Y + r,
+    s*X + j] for j < kW and X < W', with its batch axis moved to position
+    axis, in one of two forms:
+      - rows form: r < s and Y < H' + (kH-1)//s. Kernel row i = s*a + r
+        reads [.., r, a:a+H', ..], one GEMM per kernel row;
+      - full form, the full im2col (Chellapilla et al. 2006): r < kH and
+        Y < H', all of which one GEMM reads, the kernel permuted to (c, j, i).
+    Returns shape(m), the copy's shape for a batch of m; gemms, the (kernel
+    rows, r, Y) slices each GEMM reads; copy(src, shifted), which copies src
+    [m, C, H, W] into shifted; and add(shifted, dst), its adjoint, which adds
+    shifted into dst [m, C, H, W]. Both touch only the entries inside the
+    input, so copy leaves the others as the caller put them: zeros, for a
+    conv."""
+    ci, h, w = chw
+    depth = kh if full else s  # the extent of r
+    rows = kh if full else 1  # kernel rows per GEMM
+    yn = ho + (kh - 1) // depth
+    gemms = [(slice(i, i + rows), slice(i % depth, i % depth + rows), slice(i // depth, i // depth + ho))
+             for i in range(0, kh, rows)]
 
     def span(offset, size, n):
         # the shifted indices t < n whose source s*t + offset - pad lies in
@@ -536,63 +465,72 @@ def _shifted(x, kh, kw, s, pad, ho, wo, axis):
         return (slice(lo, hi), slice(s * lo + offset - pad, s * (hi - 1) + offset - pad + 1, s)) \
             if hi > lo else None
 
-    copies = []  # (j, r, rows, columns) of every non-empty copy
-    for j in range(kw):
-        for r in range(s):
+    # (j, r, rows, columns) of every non-empty span, by r then j: col2im
+    # adds them in kernel-offset order
+    spans = []
+    for r in range(depth):
+        for j in range(kw):
             ys, xs = span(r, h, yn), span(j, w, wo)
             if ys and xs:
-                copies.append((j, r, ys, xs))
+                spans.append((j, r, ys, xs))
 
     def shape(m):
-        dims = [ci, kw, s, yn, wo]
+        dims = [ci, kw, depth, yn, wo]
         dims.insert(axis, m)
         return tuple(dims)
 
-    def copy(shifted, b0, b1):
+    def copy(src, shifted):
         shifted = np.moveaxis(shifted, axis, 0)
-        for j, r, (yd, ysrc), (xd, xsrc) in copies:
-            shifted[:, :, j, r, yd, xd] = x[b0:b1, :, ysrc, xsrc]
+        for j, r, (yd, ysrc), (xd, xsrc) in spans:
+            shifted[:, :, j, r, yd, xd] = src[:, :, ysrc, xsrc]
 
-    return shape, copy
+    def add(shifted, dst):
+        shifted = np.moveaxis(shifted, axis, 0)
+        for j, r, (yd, ysrc), (xd, xsrc) in spans:
+            dst[:, :, ysrc, xsrc] += shifted[:, :, j, r, yd, xd]
+
+    return shape, gemms, copy, add
 
 
-def _kernel_rows(x, kernel, s, pad, ho, wo):
-    """The kernel-row lowering of _conv2d, in the same form as _im2col.
-    x[b0:b1] is copied once into _shifted's copy, the batch first, whose
-    entries outside the input stay zero from allocation on. Kernel row
-    i = s*a + r then reads shifted[:, :, :, r, a:a+H'] as one
-    [C_in*kW, H'*W'] matrix per sample, with unit column stride, so the GEMM
-    takes it without a copy, and z gets the sum over i of kernel[:, :, i, :]
-    @ that view: row 0 written first, each later row added through an
-    accumulation buffer."""
+def _kernel_rows(x, kernel, s, pad, ho, wo, full):
+    """The lowering of _conv2d, in _shifted's full form where full, else its
+    rows form: (per-sample scratch elements, scratch(n), conv(b0, b1, bufs,
+    z)). x[b0:b1] is copied once into the shifted copy, the batch first,
+    whose entries outside the input stay zero from allocation on. Each GEMM
+    reads its kernel rows of it as one [C_in*kW*rows, H'*W'] matrix per
+    sample, with unit column stride, so it takes the view without a copy, and
+    z gets the sum over GEMMs of those kernel rows @ that view: the first
+    written, each later one added through an accumulation buffer."""
     co, ci, kh, kw = kernel.shape
-    kmats = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3), dtype=x.dtype).reshape(kh, co, ci * kw)
-    shape, copy = _shifted(x, kh, kw, s, pad, ho, wo, 0)
+    shape, gemms, copy, _ = _shifted(x.shape[1:], kh, kw, s, pad, ho, wo, 0, full)
+    kmats = [np.ascontiguousarray(kernel[:, :, ks].transpose(0, 1, 3, 2), dtype=x.dtype).reshape(co, -1)
+             for ks, _, _ in gemms]
 
     def scratch(n):
         shifted = np.zeros(shape(n), dtype=x.dtype)
-        views = [shifted[:, :, :, i % s, i // s : i // s + ho].reshape(n, ci * kw, ho * wo)
-                 for i in range(kh)]
-        return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if kh > 1 else None
+        views = [shifted[:, :, :, rs, ys].reshape(n, -1, ho * wo) for _, rs, ys in gemms]
+        return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if len(gemms) > 1 else None
 
     def conv(b0, b1, bufs, z):
         shifted, views, acc = bufs
         m = b1 - b0
-        copy(shifted[:m], b0, b1)
+        copy(x[b0:b1], shifted[:m])
         np.matmul(kmats[0], views[0][:m], out=z)
-        for i in range(1, kh):
-            z += np.matmul(kmats[i], views[i][:m], out=acc[:m])
+        for kmat, view in zip(kmats[1:], views[1:]):
+            z += np.matmul(kmat, view[:m], out=acc[:m])
 
-    return math.prod(shape(1)) + (co * ho * wo if kh > 1 else 0), scratch, conv
+    return math.prod(shape(1)) + (co * ho * wo if len(gemms) > 1 else 0), scratch, conv
 
 
-def _kernel_rows_grad(x, upstream, kernel_hw, s, pad):
-    """The kernel-row lowering of conv2d_weight_grad, in the same form as
-    _im2col_grad. x[b0:b1] is copied once into _shifted's copy with the
-    batch between rows and columns, shifted[c, j, r, Y, m, X], and the
-    upstream chunk into u[C_out, H', m, W']. Kernel row i = s*a + r then
-    reads shifted[:, :, r, a:a+H'] as one [C_in*kW, H'*m*W'] matrix with unit
-    column stride, and part[i] [C_in, kW, C_out] gets that matrix @ u^T.
+def _kernel_rows_grad(x, upstream, kernel_hw, s, pad, full):
+    """The lowering of conv2d_weight_grad, in _shifted's full form where
+    full, else its rows form: (per-sample scratch elements, scratch(n),
+    grad(b0, b1, bufs, part), the partial's shape). x[b0:b1] is copied once
+    into the shifted copy with the batch between rows and columns,
+    shifted[c, j, r, Y, m, X], and the upstream chunk into u[C_out, H', m,
+    W']. Each GEMM reads its kernel rows of the copy as one
+    [C_in*kW*rows, H'*m*W'] matrix with unit column stride, and its slice of
+    part [GEMMs, C_in, kW, rows, C_out] gets that matrix @ u^T.
     Each worker's copy is one flat buffer, shaped to each chunk's m: the
     balanced chunks have at most two lengths, the longer first, so the
     entries outside the input are zeroed when the copy is first shaped and
@@ -600,7 +538,7 @@ def _kernel_rows_grad(x, upstream, kernel_hw, s, pad):
     ci = x.shape[1]
     co, ho, wo = upstream.shape[1:]
     kh, kw = kernel_hw
-    shape, copy = _shifted(x, kh, kw, s, pad, ho, wo, 4)
+    shape, gemms, copy, _ = _shifted(x.shape[1:], kh, kw, s, pad, ho, wo, 4, full)
     sample = math.prod(shape(1))
 
     def scratch(n):
@@ -613,21 +551,19 @@ def _kernel_rows_grad(x, upstream, kernel_hw, s, pad):
             shaped[0] = flat[: m * sample].reshape(shape(m))
             shaped[0].fill(0)
         shifted = shaped[0]
-        copy(shifted, b0, b1)
+        copy(x[b0:b1], shifted)
         u = ubuf[: co * m * ho * wo].reshape(co, ho, m, wo)
         np.copyto(u, upstream[b0:b1].transpose(1, 2, 0, 3))
         ut = u.reshape(co, ho * m * wo).T
-        for i in range(kh):
-            a = i // s
-            np.matmul(shifted[:, :, i % s, a : a + ho].reshape(ci * kw, ho * m * wo), ut,
-                      out=part[i].reshape(ci * kw, co))
+        for g, (_, rs, ys) in enumerate(gemms):
+            np.matmul(shifted[:, :, rs, ys].reshape(-1, ho * m * wo), ut, out=part[g].reshape(-1, co))
 
-    return sample + co * ho * wo, scratch, grad, (kh, ci, kw, co), (3, 1, 0, 2)
+    return sample + co * ho * wo, scratch, grad, (len(gemms), ci, kw, kh // len(gemms), co)
 
 
 def _conv2d(x, kernel, stride, pad, store=None):
-    """conv2d of a batched input, lowered by kernel rows where C_in*kW >=
-    _ROW_MIN, else by the full im2col. The sub-pixel path of
+    """conv2d of a batched input, lowered by _kernel_rows: kH kernel rows
+    per GEMM where C_in*kW < _ROW_MIN, else one. The sub-pixel path of
     conv2d_transposed calls this, not conv2d, so a wrapper counting conv2d
     calls sees none from it. With store, nothing is returned: each chunk's
     result goes to store(b0, b1, z), z [b1-b0, C_out, H', W'] in the
@@ -635,8 +571,7 @@ def _conv2d(x, kernel, stride, pad, store=None):
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
-    lowering = _im2col if ci * kw < _ROW_MIN else _kernel_rows
-    sample, scratch, conv = lowering(x, kernel, stride, pad, ho, wo)
+    sample, scratch, conv = _kernel_rows(x, kernel, stride, pad, ho, wo, ci * kw < _ROW_MIN)
     out = None if store else np.empty((b, co, ho * wo), dtype=x.dtype)
     chunks, n = _chunks(b, (sample + (co * ho * wo if store else 0)) * x.itemsize)
 

@@ -1,5 +1,6 @@
 """Array-primitive checks against independent direct-loop oracles."""
 
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -107,14 +108,14 @@ def transposed_path(monkeypatch, y, w, stride, pad):
 
 
 def conv_lowerings(monkeypatch, fn, *args):
-    """fn(*args) and the lowerings _conv2d and conv2d_weight_grad took on
-    the way, in call order."""
+    """fn(*args) and the forms _conv2d and conv2d_weight_grad lowered by on
+    the way, in call order: "im2col" for kH kernel rows per GEMM (the
+    shifted copy's full form), "rows" for one."""
     taken = []
     with monkeypatch.context() as m:
-        for name, tag in (("_im2col", "im2col"), ("_kernel_rows", "rows"),
-                          ("_im2col_grad", "im2col"), ("_kernel_rows_grad", "rows")):
-            def spy(*a, _lower=getattr(tensor, name), _tag=tag):
-                taken.append(_tag)
+        for name in ("_kernel_rows", "_kernel_rows_grad"):
+            def spy(*a, _lower=getattr(tensor, name)):
+                taken.append("im2col" if a[-1] else "rows")
                 return _lower(*a)
             m.setattr(tensor, name, spy)
         return fn(*args), taken
@@ -314,38 +315,86 @@ def test_weight_grad_chunks_of_two_lengths(monkeypatch, dtype, stride, k, pad):
     # batch 10 under a cap of 3 samples' scratch: chunks of 3, 3, 2 and 2.
     # One worker runs all four, the caller of two runs chunks 0 and 2, so
     # either reshapes its shifted copy from m = 3 to m = 2 once, where the
-    # padding border must be zeroed again
-    ci, co, ho, wo = 6, 5, 4, 3
+    # padding border must be zeroed again: in the rows form (C_in = 6) and
+    # in the full form (C_in = 1)
+    ho, wo = 4, 3
     h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
     rng = np.random.default_rng(28)
-    x = rng.standard_normal((10, ci, h, w)).astype(dtype)
-    g = rng.standard_normal((10, co, ho, wo)).astype(dtype)
-    sample = tensor._kernel_rows_grad(x, g, (k, k), stride, pad)[0] * x.itemsize
-    monkeypatch.setattr(tensor, "_COL_BYTES", 3 * sample)
-    assert [b1 - b0 for b0, b1 in tensor._chunks(10, sample)[0]] == [3, 3, 2, 2]
-    bits = []
-    for workers in (1, 2):
-        monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
-        got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, k, k), stride, pad)
-        assert taken == ["rows"] and got.dtype == dtype
+    for ci, co in [(6, 5), (1, 5)]:
+        x = rng.standard_normal((10, ci, h, w)).astype(dtype)
+        g = rng.standard_normal((10, co, ho, wo)).astype(dtype)
+        full = ci * k < 16
+        sample = tensor._kernel_rows_grad(x, g, (k, k), stride, pad, full)[0] * x.itemsize
+        monkeypatch.setattr(tensor, "_COL_BYTES", 3 * sample)
+        assert [b1 - b0 for b0, b1 in tensor._chunks(10, sample)[0]] == [3, 3, 2, 2]
         want = conv2d_weight_grad_loops(x.astype(np.float64), g.astype(np.float64), (co, ci, k, k), stride, pad)
-        assert np.allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12,
-                           atol=1e-4 if dtype == np.float32 else 1e-10)
-        bits.append(got.tobytes())
-    assert bits[0] == bits[1]
+        bits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
+            got, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, (co, ci, k, k), stride, pad)
+            assert taken == ["im2col" if full else "rows"] and got.dtype == dtype
+            assert np.allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12,
+                               atol=1e-4 if dtype == np.float32 else 1e-10), (ci, workers)
+            bits.append(got.tobytes())
+        assert bits[0] == bits[1], ci
 
 
-def test_rectangular_kernel_matches_direct_loops():
+# (kH, kW, pad) of non-square kernels at strides 1-3, kH < stride included,
+# on a 3x4 output map
+RECTANGULAR = [(3, 5, 2), (1, 3, 1), (6, 1, 1)]
+
+
+def test_rectangular_kernel_matches_direct_loops(monkeypatch):
+    # both forms (C_in*kW below and above 16) of the forward conv and the
+    # weight gradient; the transposed conv takes col2im at every such kernel
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((2, 2, 7, 8))
-    wts = rng.standard_normal((3, 2, 3, 5))
-    y = tensor.conv2d(x, wts, 1, 2)
-    g = rng.standard_normal(y.shape)
-    assert np.allclose(y, conv2d_loops(x, wts, 1, 2), atol=1e-10)
-    assert np.allclose(tensor.conv2d_transposed(g, wts, 1, 2),
-                       conv2d_transposed_loops(g, wts, 1, 2), atol=1e-10)
-    assert np.allclose(tensor.conv2d_weight_grad(x, g, wts.shape, 1, 2),
-                       conv2d_weight_grad_loops(x, g, wts.shape, 1, 2), atol=1e-10)
+    for (kh, kw, pad), stride, form in itertools.product(RECTANGULAR, (1, 2, 3), ("im2col", "rows")):
+        case = (kh, kw, pad, stride, form)
+        ci = 2 if form == "im2col" else -(-16 // kw)
+        h, w = 2 * stride + kh - 2 * pad, 3 * stride + kw - 2 * pad
+        x = rng.standard_normal((2, ci, h, w))
+        wts = rng.standard_normal((3, ci, kh, kw))
+        g = rng.standard_normal((2, 3, 3, 4))
+        y, taken = conv_lowerings(monkeypatch, tensor.conv2d, x, wts, stride, pad)
+        assert taken == [form] and np.allclose(y, conv2d_loops(x, wts, stride, pad), atol=1e-10), case
+        got_t, path = transposed_path(monkeypatch, g, wts, stride, pad)
+        assert path == "col2im", case
+        assert np.allclose(got_t, conv2d_transposed_loops(g, wts, stride, pad), atol=1e-10), case
+        gw, taken = conv_lowerings(monkeypatch, tensor.conv2d_weight_grad, x, g, wts.shape, stride, pad)
+        assert taken == [form], case
+        assert np.allclose(gw, conv2d_weight_grad_loops(x, g, wts.shape, stride, pad), atol=1e-10), case
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["rows", "full"])
+@pytest.mark.parametrize("axis", [0, 4])
+@pytest.mark.parametrize("stride,k,pad", SWEEP)
+def test_shifted_copy_and_its_adjoint(stride, k, pad, axis, full):
+    # on SWEEP's geometries (pads larger than the stride included), in both
+    # forms, with the batch axis where the forward conv (0) and the weight
+    # gradient (4) put it: copy writes xpad[s*Y + r, s*X + j] into every
+    # entry, zero outside the input, and add is its adjoint,
+    # <copy(x), S> == <x, add(S)>
+    rng = np.random.default_rng(29)
+    ho, wo = 3, 4
+    h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+    x = rng.standard_normal((2, 3, h, w))
+    shape, _, copy, add = tensor._shifted(x.shape[1:], k, k, stride, pad, ho, wo, axis, full)
+    shifted = np.zeros(shape(2))
+    copy(x, shifted)
+    got = np.moveaxis(shifted, axis, 0)
+    _, _, kw, depth, yn, _ = got.shape
+    assert (kw, depth, yn) == ((k, k, ho) if full else (k, stride, ho + (k - 1) // stride))
+    xpad = np.zeros((2, 3, pad + stride * yn + depth, pad + stride * wo + kw))
+    xpad[:, :, pad : pad + h, pad : pad + w] = x
+    rows, cols = np.ix_(np.arange(yn), np.arange(wo))
+    for j in range(kw):
+        for r in range(depth):
+            assert np.array_equal(got[:, :, j, r], xpad[:, :, stride * rows + r, stride * cols + j]), (j, r)
+    s = rng.standard_normal(shifted.shape)
+    back = np.zeros_like(x)
+    add(s, back)
+    lhs, rhs = np.sum(shifted * s), np.sum(x * back)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(shifted * s))
 
 
 @pytest.mark.parametrize("ci,co,h,stride,cap", [(3, 4, 6, 1, 25000), (1, 4, 7, 2, 2500)])
