@@ -444,17 +444,17 @@ def _shifted(chw, kh, kw, s, pad, ho, wo, axis, full):
         reads [.., r, a:a+H', ..], one GEMM per kernel row;
       - full form, the full im2col (Chellapilla et al. 2006): r < kH and
         Y < H', all of which one GEMM reads, the kernel permuted to (c, j, i).
-    Returns shape(m), the copy's shape for a batch of m; gemms, the (kernel
-    rows, r, Y) slices each GEMM reads; copy(src, shifted), which copies src
-    [m, C, H, W] into shifted; and add(shifted, dst), its adjoint, which adds
-    shifted into dst [m, C, H, W]. Both touch only the entries inside the
-    input, so copy leaves the others as the caller put them: zeros, for a
-    conv."""
+    Returns shape(m), the copy's shape for a batch of m; gemms, the (r, Y)
+    slices each GEMM reads, kH//len(gemms) kernel rows each, in kernel-row
+    order; copy(src, shifted), which copies src [m, C, H, W] into shifted;
+    and add(shifted, dst), its adjoint, which adds shifted into dst
+    [m, C, H, W]. Both touch only the entries inside the input, so copy
+    leaves the others as the caller put them: zeros, for a conv."""
     ci, h, w = chw
     depth = kh if full else s  # the extent of r
     rows = kh if full else 1  # kernel rows per GEMM
     yn = ho + (kh - 1) // depth
-    gemms = [(slice(i, i + rows), slice(i % depth, i % depth + rows), slice(i // depth, i // depth + ho))
+    gemms = [(slice(i % depth, i % depth + rows), slice(i // depth, i // depth + ho))
              for i in range(0, kh, rows)]
 
     def span(offset, size, n):
@@ -465,8 +465,8 @@ def _shifted(chw, kh, kw, s, pad, ho, wo, axis, full):
         return (slice(lo, hi), slice(s * lo + offset - pad, s * (hi - 1) + offset - pad + 1, s)) \
             if hi > lo else None
 
-    # (j, r, rows, columns) of every non-empty span, by r then j: col2im
-    # adds them in kernel-offset order
+    # (j, r, Y slices, X slices) of every non-empty span, by r then j:
+    # col2im adds them in kernel-offset order
     spans = []
     for r in range(depth):
         for j in range(kw):
@@ -503,12 +503,12 @@ def _kernel_rows(x, kernel, s, pad, ho, wo, full):
     written, each later one added through an accumulation buffer."""
     co, ci, kh, kw = kernel.shape
     shape, gemms, copy, _ = _shifted(x.shape[1:], kh, kw, s, pad, ho, wo, 0, full)
-    kmats = [np.ascontiguousarray(kernel[:, :, ks].transpose(0, 1, 3, 2), dtype=x.dtype).reshape(co, -1)
-             for ks, _, _ in gemms]
+    kmats = (np.ascontiguousarray(kernel.reshape(co, ci, len(gemms), -1, kw).transpose(2, 0, 1, 4, 3),
+                                  dtype=x.dtype).reshape(len(gemms), co, -1))
 
     def scratch(n):
         shifted = np.zeros(shape(n), dtype=x.dtype)
-        views = [shifted[:, :, :, rs, ys].reshape(n, -1, ho * wo) for _, rs, ys in gemms]
+        views = [shifted[:, :, :, rs, ys].reshape(n, -1, ho * wo) for rs, ys in gemms]
         return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if len(gemms) > 1 else None
 
     def conv(b0, b1, bufs, z):
@@ -555,7 +555,7 @@ def _kernel_rows_grad(x, upstream, kernel_hw, s, pad, full):
         u = ubuf[: co * m * ho * wo].reshape(co, ho, m, wo)
         np.copyto(u, upstream[b0:b1].transpose(1, 2, 0, 3))
         ut = u.reshape(co, ho * m * wo).T
-        for g, (_, rs, ys) in enumerate(gemms):
+        for g, (rs, ys) in enumerate(gemms):
             np.matmul(shifted[:, :, rs, ys].reshape(-1, ho * m * wo), ut, out=part[g].reshape(-1, co))
 
     return sample + co * ho * wo, scratch, grad, (len(gemms), ci, kw, kh // len(gemms), co)
