@@ -3,9 +3,11 @@
 Subcommands: train (epoch loop with metrics CSV and checkpoints),
 reconstruct (side-by-side input/reconstruction grids), generate
 (likelihood transform, latent generation, and visualization), compose
-(class-imbalance subsampling to CIFAR-style records). Every command
-writes a manifest.json inventorying its outputs. Exit codes: 0 ok,
-2 configuration error, 3 data error, 4 numeric divergence.
+(class-imbalance subsampling to CIFAR-style records). train,
+reconstruct and generate write a manifest.json inventorying their outputs;
+compose writes the composed dataset's own manifest.json (geometry, class
+counts, profile) instead. Exit codes: 0 ok, 2 configuration error, 3 data
+error, 4 numeric divergence.
 """
 
 import argparse
@@ -118,7 +120,11 @@ def dataset_fingerprint(ds):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, values, seed, fingerprints, start, end):
+def write_manifest(out_dir, command, values, datasets, start):
+    """Inventory out_dir's files with the config, the seed, the (train,
+    test) pair's fingerprints and the start and end times."""
+    end = _now(typed(values, "train.determinism"))
+    train, test = datasets
     outputs = []
     for root, _, files in os.walk(out_dir):
         for name in files:
@@ -134,8 +140,9 @@ def write_manifest(out_dir, command, values, seed, fingerprints, start, end):
         "command": command,
         "code_version": __version__,
         "config": config_lines(values),
-        "seed": seed,
-        "dataset_fingerprints": fingerprints,
+        "seed": typed(values, "train.seed"),
+        "dataset_fingerprints": {"train": dataset_fingerprint(train),
+                                 "test": dataset_fingerprint(test)},
         "start": start,
         "end": end,
         "outputs": outputs,
@@ -165,17 +172,10 @@ def _apply_common(args, values):
     return values
 
 
-def _setup_runtime(deterministic):
-    # main undoes this on return (tensor.threads_restored)
-    if tensor.set_threads() is None and deterministic:
-        tensor.set_threads(1)
-
-
-def cmd_train(args):
-    values = _apply_common(args, load_config(args.config, args.override))
+def cmd_train(args, values, start):
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be >= 1")
     cfg = train_config_from(values)
-    _setup_runtime(cfg.determinism)
-    start = _now(cfg.determinism)
     train, test, n_classes = resolve_dataset_pair(values)
     rcfg = reverse_config_from(values)
     spec = network_spec_from(values, train.images.shape[1:], n_classes)
@@ -204,9 +204,7 @@ def cmd_train(args):
                 w.writerow([seed_r, f"{err:.4f}", f"{loss:.8g}"])
             errs = [s[1] for s in summary]
             w.writerow(["mean", f"{np.mean(errs):.4f}", ""])
-    fingerprints = {"train": dataset_fingerprint(train), "test": dataset_fingerprint(test)}
-    write_manifest(out_dir, "train", values, cfg.seed, fingerprints,
-                   start, _now(cfg.determinism))
+    write_manifest(out_dir, "train", values, (train, test), start)
     for seed_r, err, loss in summary:
         print(f"seed {seed_r}: test_err {err:.4f}% test_loss {loss:.6g}")
     return 0
@@ -228,12 +226,8 @@ def _load_net_and_batch(args, values):
     return net, x, (train, test)
 
 
-def cmd_reconstruct(args):
-    values = _apply_common(args, load_config(args.config, args.override))
-    deterministic = typed(values, "train.determinism")
-    _setup_runtime(deterministic)
-    start = _now(deterministic)
-    net, x, (train, test) = _load_net_and_batch(args, values)
+def cmd_reconstruct(args, values, start):
+    net, x, datasets = _load_net_and_batch(args, values)
     o, _, trace = net.feed_forward(x)
     xbar = net.feed_backward(o, trace=trace)
     out_dir = typed(values, "out.dir")
@@ -241,19 +235,13 @@ def cmd_reconstruct(args):
     grid = reconstruction_grid(x, xbar)
     ext = "ppm" if grid.ndim == 3 else "pgm"
     save_image(os.path.join(out_dir, f"reconstructions.{ext}"), grid)
-    fingerprints = {"train": dataset_fingerprint(train), "test": dataset_fingerprint(test)}
-    write_manifest(out_dir, "reconstruct", values, typed(values, "train.seed"),
-                   fingerprints, start, _now(deterministic))
+    write_manifest(out_dir, "reconstruct", values, datasets, start)
     print(f"wrote reconstructions for {x.shape[0]} samples to {out_dir}")
     return 0
 
 
-def cmd_generate(args):
-    values = _apply_common(args, load_config(args.config, args.override))
-    deterministic = typed(values, "train.determinism")
-    _setup_runtime(deterministic)
-    start = _now(deterministic)
-    net, x, (train, test) = _load_net_and_batch(args, values)
+def cmd_generate(args, values, start):
+    net, x, datasets = _load_net_and_batch(args, values)
     cfg = train_config_from(values)
     o, _, trace = net.feed_forward(x)
     if args.bypass_transform:
@@ -276,17 +264,12 @@ def cmd_generate(args):
         for i in range(o.shape[0]):
             for kind, mat in (("o", o), ("tr", tr), ("o_hat", ohat)):
                 w.writerow([i, kind] + [f"{v:.8g}" for v in mat[i]])
-    fingerprints = {"train": dataset_fingerprint(train), "test": dataset_fingerprint(test)}
-    write_manifest(out_dir, "generate", values, cfg.seed, fingerprints,
-                   start, _now(deterministic))
+    write_manifest(out_dir, "generate", values, datasets, start)
     print(f"wrote generation grid and likelihoods for {x.shape[0]} samples to {out_dir}")
     return 0
 
 
-def cmd_compose(args):
-    values = _apply_common(args, load_config(args.config, args.override))
-    deterministic = typed(values, "train.determinism")
-    _setup_runtime(deterministic)
+def cmd_compose(args, values, start):
     source = resolve_raw_dataset(values, args.split)
     seed = typed(values, "train.seed")
     profile = ImbalanceProfile.parse(args.profile, source.class_count, seed=seed)
@@ -347,12 +330,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; returns its exit code. Any thread cap the command
-    sets (REVNET_THREADS, --deterministic) lasts only until it returns."""
+    """Run one command on the loaded config and its start time; returns
+    its exit code. Any thread cap the run sets (REVNET_THREADS,
+    --deterministic) lasts only until the command returns."""
     args = build_parser().parse_args(argv)
     try:
         with tensor.threads_restored():
-            return args.func(args)
+            values = _apply_common(args, load_config(args.config, args.override))
+            deterministic = typed(values, "train.determinism")
+            if tensor.set_threads() is None and deterministic:
+                tensor.set_threads(1)
+            return args.func(args, values, _now(deterministic))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,8 @@ a configuration error naming the key. Typed accessors convert values and
 report the offending key on failure.
 """
 
+from dataclasses import MISSING, fields
+
 from .errors import ConfigError
 from .layers import ReverseConfig
 from .network import ARCHITECTURES, NetworkSpec, TransformConfig
@@ -27,36 +29,35 @@ def _int_list(text):
     return tuple(int(v) for v in t.split(",") if v.strip()) if t else ()
 
 
-# key -> (converter, default as written in config syntax)
+_CONVERTERS = {bool: _bool, tuple: _int_list, int: int, float: float, str: str}
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _field_keys(cls, prefix):
+    """One key per field of cls with a plain default, converted by the
+    default's type; fields with a default factory are not keys."""
+    return {
+        prefix + f.name: (_CONVERTERS[type(f.default)], _config_text(f.default))
+        for f in fields(cls) if f.default is not MISSING
+    }
+
+
+# key -> (converter, default as written in config syntax). The train.,
+# transform. and net.reverse_ keys are the fields of TrainConfig,
+# TransformConfig and ReverseConfig, which own their defaults and checks.
 KNOWN_KEYS = {
-    "train.lr0": (float, "0.1"),
-    "train.momentum": (float, "0.9"),
-    "train.weight_decay": (float, "1e-4"),
-    "train.lr_drop_epochs": (_int_list, "20,40,60"),
-    "train.lr_drop_factor": (float, "0.1"),
-    "train.epochs": (int, "1"),
-    "train.train_batch": (int, "128"),
-    "train.eval_batch": (int, "100"),
-    "train.enable_reverse_loss": (_bool, "true"),
-    "train.enable_generation": (_bool, "true"),
-    "train.seed": (int, "0"),
-    "train.determinism": (_bool, "false"),
-    "train.augment": (_bool, "false"),
-    "train.w_cls": (float, "1.0"),
-    "train.w_rec": (float, "1.0"),
-    "train.w_gen": (float, "1.0"),
-    "train.warmup_epochs": (int, "0"),
-    "train.gen_stop_grad": (_bool, "false"),
-    "train.gen_target": (str, "label"),
-    "train.clip_grad_norm": (float, "0"),
-    "transform.boost_count": (int, "1"),
-    "transform.boost_factor": (float, "0.95"),
-    "transform.renormalize": (_bool, "true"),
-    "transform.include_argmax": (_bool, "false"),
+    **_field_keys(TrainConfig, "train."),
+    **_field_keys(TransformConfig, "transform."),
     "net.arch": (str, "baseline"),
     "net.layers": (str, ""),
-    "net.reverse_activation": (str, "inverse"),
-    "net.reverse_pool": (str, "upsample"),
+    **_field_keys(ReverseConfig, "net.reverse_"),
     "data.kind": (str, "synthetic"),
     "data.root": (str, ""),
     "data.normalize": (str, "divide_mean"),
@@ -114,46 +115,18 @@ def typed(values, key):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
+def _section(values, prefix):
+    """Typed values of every key under prefix, by field name."""
+    return {k[len(prefix):]: typed(values, k) for k in KNOWN_KEYS if k.startswith(prefix)}
+
+
 def train_config_from(values):
-    transform = TransformConfig(
-        boost_count=typed(values, "transform.boost_count"),
-        boost_factor=typed(values, "transform.boost_factor"),
-        renormalize=typed(values, "transform.renormalize"),
-        include_argmax=typed(values, "transform.include_argmax"),
-    )
-    return TrainConfig(
-        lr0=typed(values, "train.lr0"),
-        momentum=typed(values, "train.momentum"),
-        weight_decay=typed(values, "train.weight_decay"),
-        lr_drop_epochs=typed(values, "train.lr_drop_epochs"),
-        lr_drop_factor=typed(values, "train.lr_drop_factor"),
-        epochs=typed(values, "train.epochs"),
-        train_batch=typed(values, "train.train_batch"),
-        eval_batch=typed(values, "train.eval_batch"),
-        enable_reverse_loss=typed(values, "train.enable_reverse_loss"),
-        enable_generation=typed(values, "train.enable_generation"),
-        transform=transform,
-        seed=typed(values, "train.seed"),
-        determinism=typed(values, "train.determinism"),
-        augment=typed(values, "train.augment"),
-        w_cls=typed(values, "train.w_cls"),
-        w_rec=typed(values, "train.w_rec"),
-        w_gen=typed(values, "train.w_gen"),
-        warmup_epochs=typed(values, "train.warmup_epochs"),
-        gen_stop_grad=typed(values, "train.gen_stop_grad"),
-        gen_target=typed(values, "train.gen_target"),
-        clip_grad_norm=typed(values, "train.clip_grad_norm"),
-    )
+    transform = TransformConfig(**_section(values, "transform."))
+    return TrainConfig(transform=transform, **_section(values, "train."))
 
 
 def reverse_config_from(values):
-    activation = typed(values, "net.reverse_activation")
-    pool = typed(values, "net.reverse_pool")
-    if activation not in ("inverse", "forward"):
-        raise ConfigError(f"net.reverse_activation must be inverse|forward, got {activation!r}")
-    if pool not in ("upsample", "unpool"):
-        raise ConfigError(f"net.reverse_pool must be upsample|unpool, got {pool!r}")
-    return ReverseConfig(activation=activation, pool=pool)
+    return ReverseConfig(**_section(values, "net.reverse_"))
 
 
 def network_spec_from(values, input_shape, n_classes):

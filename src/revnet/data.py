@@ -152,12 +152,14 @@ def load_mnist_dir(root):
 # -- CIFAR-style records ----------------------------------------------------
 
 
-def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=10):
+def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=10,
+                      label_bytes=None):
     """Concatenate CIFAR batch files. CIFAR-10 records are 1 label byte +
-    3072 pixels; CIFAR-100 records carry a coarse and a fine label byte."""
-    # CIFAR-100 files carry a coarse byte then a fine byte per record
-    two_byte = class_count in (20, 100)
-    label_bytes = 2 if two_byte else 1
+    3072 pixels; CIFAR-100 records carry a coarse and a fine label byte.
+    label_bytes=None infers the CIFAR layout from class_count (2 bytes at
+    20 or 100 classes); pass 1 for records written by save_records."""
+    if label_bytes is None:
+        label_bytes = 2 if class_count in (20, 100) else 1
     c, h, w = shape
     rec = label_bytes + c * h * w
     all_images, all_labels = [], []
@@ -169,10 +171,7 @@ def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=10):
             )
         n = len(raw) // rec
         block = np.frombuffer(raw, dtype=np.uint8).reshape(n, rec)
-        if two_byte:
-            labels = block[:, 0] if coarse else block[:, 1]
-        else:
-            labels = block[:, 0]
+        labels = block[:, 1] if label_bytes == 2 and not coarse else block[:, 0]
         all_labels.append(labels.astype(np.int64))
         all_images.append(
             block[:, label_bytes:].reshape(n, c, h, w).astype(np.float32) / 255.0
@@ -220,7 +219,7 @@ def load_composed(out_dir):
     shape = (manifest["channels"], manifest["height"], manifest["width"])
     ds = load_cifar_binary(
         [os.path.join(out_dir, "records.bin")],
-        shape=shape, class_count=manifest["class_count"],
+        shape=shape, class_count=manifest["class_count"], label_bytes=1,
     )
     if len(ds) != manifest["n"]:
         raise ConsistencyError(
@@ -292,11 +291,16 @@ class ImbalanceProfile:
         counts = []
         for part in str(text).split(","):
             part = part.strip()
-            if "x" in part:
-                value, reps = part.split("x")
-                counts.extend([int(value)] * int(reps))
-            elif part:
-                counts.append(int(part))
+            try:
+                if "x" in part:
+                    value, reps = part.split("x")
+                    counts.extend([int(value)] * int(reps))
+                elif part:
+                    counts.append(int(part))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"profile {text!r}: bad entry {part!r}, expected N or NxREPEATS"
+                ) from exc
         if len(counts) != class_count:
             raise ConfigError(
                 f"profile {text!r} lists {len(counts)} classes, need {class_count}"

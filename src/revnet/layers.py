@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import DomainError, ShapeError, StateError
+from .errors import ConfigError, DomainError, ShapeError, StateError
 
 SOFTMAX_CLAMP = 1e-12
 
@@ -54,6 +54,12 @@ class ReverseConfig:
 
     activation: str = "inverse"
     pool: str = "upsample"
+
+    def __post_init__(self):
+        if self.activation not in ("inverse", "forward"):
+            raise ConfigError(f"reverse_activation must be inverse|forward, got {self.activation!r}")
+        if self.pool not in ("upsample", "unpool"):
+            raise ConfigError(f"reverse_pool must be upsample|unpool, got {self.pool!r}")
 
 
 class Layer:

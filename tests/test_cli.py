@@ -179,6 +179,13 @@ class TestTrain:
         errs = [float(r[1]) for r in rows[1:3]]
         assert float(rows[3][1]) == pytest.approx(np.mean(errs), abs=1e-4)
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_validated(self, tmp_path, capsys, repeats):
+        out = tmp_path / "x"
+        assert main(train_cmd(out, ["--repeats", repeats])) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_override_is_config_error(self, tmp_path, capsys):
         assert main(train_cmd(tmp_path / "x", ["--override", "zap=1"])) == 2
         assert "config error" in capsys.readouterr().err
@@ -292,6 +299,13 @@ class TestCompose:
         assert np.array_equal(ds.class_counts(), [4] * 5 + [2] * 5)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["profile_counts"] == [4] * 5 + [2] * 5
+
+    @pytest.mark.parametrize("profile", ["5xx2", "abc", "5x"])
+    def test_malformed_profile_is_config_error(self, tmp_path, capsys, profile):
+        args = ["compose", "--profile", profile, "--out", str(tmp_path / "x")] + FAST
+        assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_infeasible_profile_is_data_error(self, tmp_path, capsys):
         args = ["compose", "--profile", "1000x10", "--out", str(tmp_path / "x")] + FAST

@@ -1,5 +1,7 @@
 """Config parsing: precedence, key validation, typed conversion."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from revnet.config import (
     typed,
 )
 from revnet.errors import ConfigError
+from revnet.layers import ReverseConfig
+from revnet.network import TransformConfig
+from revnet.training import TrainConfig
 
 
 class TestParse:
@@ -124,6 +129,12 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="reverse_pool"):
             reverse_config_from(load_config(overrides=["net.reverse_pool=nearest"]))
 
+    def test_reverse_config_checks_itself(self):
+        with pytest.raises(ConfigError, match="reverse_activation"):
+            ReverseConfig(activation="fwd")
+        with pytest.raises(ConfigError, match="reverse_pool"):
+            ReverseConfig(pool="unpol")
+
     def test_named_architectures(self):
         for arch in ("baseline", "small"):
             spec = network_spec_from(load_config(overrides=[f"net.arch={arch}"]), (1, 28, 28), 10)
@@ -147,6 +158,40 @@ class TestBuilders:
         values = load_config(overrides=["net.arch=resnet"])
         with pytest.raises(ConfigError, match="net.arch"):
             network_spec_from(values, (16,), 10)
+
+
+class TestOneOwner:
+    """The train., transform. and net.reverse_ keys, with their defaults,
+    come from the settings dataclasses."""
+
+    def test_default_config_builds_default_settings(self):
+        values = load_config()
+        assert train_config_from(values) == TrainConfig()
+        assert reverse_config_from(values) == ReverseConfig()
+
+    def test_every_plain_field_has_a_key(self):
+        for cls, prefix in ((TrainConfig, "train."), (TransformConfig, "transform."),
+                            (ReverseConfig, "net.reverse_")):
+            for f in fields(cls):
+                if f.default is not MISSING:
+                    assert prefix + f.name in KNOWN_KEYS
+
+    def test_only_net_data_and_out_keys_are_literal(self):
+        literal = {k for k in KNOWN_KEYS
+                   if not k.startswith(("train.", "transform.", "net.reverse_"))}
+        assert literal == {
+            "net.arch", "net.layers", "out.dir", "data.kind", "data.root",
+            "data.normalize", "data.limit", "data.coarse", "data.n_per_class",
+            "data.test_n_per_class", "data.noise",
+        }
+        assert len(KNOWN_KEYS) == 37
+
+    def test_defaults_written_as_config_text(self):
+        values = load_config()
+        assert values["train.lr_drop_epochs"] == "20,40,60"
+        assert values["train.enable_reverse_loss"] == "true"
+        assert values["train.determinism"] == "false"
+        assert values["net.reverse_pool"] == "upsample"
 
 
 class TestSnapshot:

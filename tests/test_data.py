@@ -220,6 +220,18 @@ class TestComposedDir:
         assert np.array_equal(back.labels, ds.labels)
         assert len(back) == 10
 
+    @pytest.mark.parametrize("classes", [10, 20, 100])
+    def test_round_trip_at_cifar_class_counts(self, tmp_path, classes):
+        # composed records hold one label byte, also at CIFAR-100's 20 and
+        # 100 classes, whose source files hold two
+        ds = tiny_dataset(n=3 * classes, classes=classes, seed=classes)
+        save_composed(tmp_path / "d", ds)
+        back = load_composed(tmp_path / "d")
+        assert back.class_count == classes
+        assert np.array_equal(back.labels, ds.labels)
+        want = np.clip(np.rint(ds.images * 255.0), 0, 255) / 255.0
+        assert np.allclose(back.images, want, atol=1e-7)
+
     def test_manifest_mismatch_caught(self, tmp_path):
         ds = tiny_dataset(n=6, classes=4)
         save_composed(tmp_path / "d", ds)
