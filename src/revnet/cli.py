@@ -122,7 +122,9 @@ def dataset_fingerprint(ds):
 
 def write_manifest(out_dir, command, values, datasets, start):
     """Inventory out_dir's files with the config, the seed, the (train,
-    test) pair's fingerprints and the start and end times."""
+    test) pair's fingerprints and the start and end times. The config
+    leaves out out.dir, the directory the manifest sits in, so a rerun
+    into another directory writes the same manifest."""
     end = _now(typed(values, "train.determinism"))
     train, test = datasets
     outputs = []
@@ -139,7 +141,7 @@ def write_manifest(out_dir, command, values, datasets, start):
     manifest = {
         "command": command,
         "code_version": __version__,
-        "config": config_lines(values),
+        "config": config_lines({k: v for k, v in values.items() if k != "out.dir"}),
         "seed": typed(values, "train.seed"),
         "dataset_fingerprints": {"train": dataset_fingerprint(train),
                                  "test": dataset_fingerprint(test)},

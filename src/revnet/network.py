@@ -212,7 +212,7 @@ class ReversibleNetwork:
             v, caches[i] = layer.forward(v, **_out(layer, v, i > lo))
         return v, alpha, caches
 
-    def _adjoint(self, g, order, op, caches, acc):
+    def _adjoint(self, g, order, op, caches, acc, free=False):
         """Walk the layers in `order`, calling each one's `op` ("backward"
         or "reverse_backward") on its cache and adding the parameter
         gradients into acc; a "b_prev" gradient belongs to the previous
@@ -220,7 +220,9 @@ class ReversibleNetwork:
 
         An entry of acc is the first gradient its layer made for it, and
         later ones are added into it in place; g is passed on as in
-        _forward."""
+        _forward. With free, a caller that owns `caches` has each entry
+        set to None once its op has run, so the walk frees what it passed;
+        otherwise the list is left as it was."""
         owned = False
         for i in order:
             if caches[i] is None:
@@ -228,6 +230,8 @@ class ReversibleNetwork:
             layer = self.layers[i]
             g_in = g
             g, grads = getattr(layer, op)(g, caches[i], **_out(layer, g, owned))
+            if free:
+                caches[i] = None
             owned = owned or g is not g_in
             for name, val in (grads or {}).items():
                 j, name = (self._prev_param[i], "b") if name == "b_prev" else (i, name)
@@ -250,11 +254,12 @@ class ReversibleNetwork:
         o, _, _ = self.feed_forward(x)
         return tensor.argmax_last(o)
 
-    def backward_from_logits(self, g, trace, acc):
+    def backward_from_logits(self, g, trace, acc, free=False):
         """Backprop a gradient given w.r.t. the pre-softmax logits (the
-        cross-entropy/softmax combination), skipping the head layer."""
+        cross-entropy/softmax combination), skipping the head layer. free
+        as in _adjoint."""
         start = len(self.layers) - 2 if self.has_head else len(self.layers) - 1
-        return self._adjoint(g, range(start, -1, -1), "backward", trace, acc)
+        return self._adjoint(g, range(start, -1, -1), "backward", trace, acc, free)
 
     # -- reverse ----------------------------------------------------------
 
@@ -303,12 +308,13 @@ class ReversibleNetwork:
             raise StateError("index-unpool reverse needs the forward trace")
         return self._reverse_span(o, len(self.layers), 0, trace, want_caches)
 
-    def reverse_adjoint(self, g, rcaches, acc, hi=None, lo=0):
+    def reverse_adjoint(self, g, rcaches, acc, hi=None, lo=0, free=False):
         """Adjoint of a reverse span: walk it in forward-layer order,
         accumulating tied-weight gradients; returns the gradient w.r.t.
-        the span's starting value (o for a full feed-backward)."""
+        the span's starting value (o for a full feed-backward). free as in
+        _adjoint."""
         hi = len(self.layers) if hi is None else hi
-        return self._adjoint(g, range(lo, hi), "reverse_backward", rcaches, acc)
+        return self._adjoint(g, range(lo, hi), "reverse_backward", rcaches, acc, free)
 
     # -- latent generation ------------------------------------------------
 

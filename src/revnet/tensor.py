@@ -57,6 +57,13 @@ set_threads(1) (--deterministic) gets one. Forward and transposed chunks
 write disjoint output slices, and the weight gradient's two halves do not
 depend on who computed them, so all three kernels give the same bits for
 one worker and for two.
+
+The same helper thread also runs the second lane of run_lanes, which
+puts two independent chains of work side by side (a training step's class
+backward and its reconstruction chain). Inside a lane the conv kernels run
+on one worker, the lane's own thread, so a lane never waits on the helper
+it runs on; with one worker the lanes run one after the other on the
+caller.
 """
 
 import contextlib
@@ -179,12 +186,21 @@ _HELPER = None  # a one-thread ThreadPoolExecutor, started on first use
 _HELPER_LOCK = threading.Lock()
 
 
+class _Lane(threading.local):
+    on = False  # this thread is running a lane of run_lanes
+
+
+_LANE = _Lane()
+
+
 def _conv_workers():
     """Workers for the conv batch chunks: max(1, budget // BLAS threads), at
     most two (the caller and one helper thread), and one where the BLAS
-    thread count cannot be read. Worked out on first use and after each
-    set_threads, never per kernel call."""
+    thread count cannot be read, or inside a lane of run_lanes. Worked out
+    on first use and after each set_threads, never per kernel call."""
     global _CONV_WORKERS
+    if _LANE.on:
+        return 1
     if _CONV_WORKERS is None:
         blas = blas_threads()
         budget = _THREAD_BUDGET
@@ -242,6 +258,36 @@ def _run_chunks(chunks, scratch, job):
     finally:
         done.exception()  # the helper's half ends before the caller's error propagates
     done.result()
+
+
+def run_lanes(first, second):
+    """(first(), second()): first on the caller and second on the helper
+    thread, side by side, where there are two conv workers, else one after
+    the other on the caller. Inside a lane the conv kernels run on one
+    worker, so a lane never waits on the helper it runs on. The helper's
+    lane runs under the caller's errstate, and an exception in either lane
+    propagates only after both have ended."""
+    if _conv_workers() < 2:
+        return first(), second()
+    errs = np.geterr()
+
+    def lane(fn):
+        _LANE.on = True
+        try:
+            return fn()
+        finally:
+            _LANE.on = False
+
+    def helper_lane():
+        with np.errstate(**errs):
+            return lane(second)
+
+    done = _helper().submit(helper_lane)
+    try:
+        a = lane(first)
+    finally:
+        done.exception()
+    return a, done.result()
 
 
 # ---------------------------------------------------------------------------

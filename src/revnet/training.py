@@ -1,14 +1,17 @@
 """Per-batch training procedure, SGD schedule, epoch loop, and evaluation.
 
-Each batch runs up to six blocks in a fixed order: feed-forward,
-feed-backward (reconstruction), latent generation from transformed
-likelihoods, one-step feed-forward of the generated latents, loss
-computing, and a single parameter update. Gradients from all enabled
-loss terms are summed into that one update, which sgd_update applies to
-the whole net at once: it checks every gradient, clips the global norm,
-then writes the momentum step, so a rejected step changes nothing. With
-reconstruction and generation disabled the step degenerates to plain
-supervised SGD.
+Each batch runs a feed-forward, then two lanes that read only its output,
+then a single parameter update. The class lane backpropagates the
+classification loss, then generates latents from transformed likelihoods,
+pushes them one step forward and backpropagates that loss. The
+reconstruction lane runs the feed-backward (reconstruction) and its
+adjoint. The lanes run side by side where there are two conv workers, else
+one after the other (see _step_gradients), and give the same bits either
+way. Gradients from all enabled loss terms are summed into that one
+update, which sgd_update applies to the whole net at once: it checks every
+gradient, clips the global norm, then writes the momentum step, so a
+rejected step changes nothing. With reconstruction and generation disabled
+the step degenerates to plain supervised SGD.
 """
 
 import csv
@@ -20,7 +23,7 @@ import numpy as np
 from . import tensor
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
-from .layers import MaxPool
+from .layers import Dense, MaxPool
 from .losses import LossReport, cross_entropy, one_hot, reconstruction_mse
 from .network import TransformConfig, transform_likelihood
 
@@ -162,8 +165,21 @@ def train_step(net, batch, cfg, rng, epoch=0):
 def _step_gradients(net, batch, cfg, rng, epoch):
     """The summed gradients of one step, with its LossReport and error
     count. Every activation and cache of the step is freed on return, so
-    none of them is alive during the update."""
+    none of them is alive during the update.
+
+    After the feed-forward the step runs two lanes (tensor.run_lanes),
+    which read only the forward output and write separate gradient sums:
+    the class lane (the class backward, then the generation chain) into
+    acc, and the reconstruction lane (feed-backward, then the adjoint of
+    its conv span, the layers below the first Dense) into a list of its
+    own. After the join that list is added into acc in layer order, and
+    the adjoint of the Dense span follows, on the caller, into acc. So
+    every gradient sums class, generation, reconstruction conv span,
+    reconstruction Dense span, in that order, for one conv worker and for
+    two. The class backward and the reconstruction adjoint free each trace
+    and cache entry they have passed."""
     x, labels = batch
+    f = x.dtype.type
     target = one_hot(labels, net.layers[net.final_dense_idx].out_features, dtype=x.dtype)
     acc = net.new_grad_acc()
 
@@ -172,31 +188,46 @@ def _step_gradients(net, batch, cfg, rng, epoch):
     rep = LossReport(w_cls=cfg.w_cls, w_rec=cfg.w_rec, w_gen=cfg.w_gen)
     rep.cls, g_logits = cross_entropy(o, target)
     mis = int(np.sum(tensor.argmax_last(o) != labels))
-    net.backward_from_logits(x.dtype.type(cfg.w_cls) * g_logits, trace, acc)
-    # the reverse path reads only the pool masks (unpool mode) from the
-    # trace; the conv inputs and activation masks are freed here
-    trace = [c if isinstance(l, MaxPool) else None for l, c in zip(net.layers, trace)]
+    # the reverse path reads only the pool masks (unpool mode) of the trace
+    rtrace = [c if isinstance(l, MaxPool) else None for l, c in zip(net.layers, trace)]
+    split = next(i for i, l in enumerate(net.layers) if isinstance(l, Dense))
+
+    def class_lane():
+        net.backward_from_logits(f(cfg.w_cls) * g_logits, trace, acc, free=True)
+        # latent generation and one-step feed-forward: the generated latent
+        # should still classify as the annotated label (or, optionally, as
+        # the transformed likelihood treated as a soft target)
+        if cfg.enable_generation and epoch >= cfg.warmup_epochs:
+            obar = transform_likelihood(o, cfg.transform, rng)
+            alphabar, gcaches = net.generate_latent(obar, want_caches=True)
+            ohat, tail_caches = net.one_step_forward(alphabar, want_caches=True)
+            gen_target = target if cfg.gen_target == "label" else obar
+            rep.gen, g_hat = cross_entropy(ohat, gen_target)
+            g_alpha = net.one_step_adjoint(f(cfg.w_gen) * g_hat, tail_caches, acc)
+            if not cfg.gen_stop_grad:
+                net.reverse_adjoint(g_alpha, gcaches, acc, lo=net.final_dense_idx)
 
     # feed-backward: reconstruct the input from the output likelihood;
     # the resulting gradient flows through the tied reverse chain only
     # (o itself is treated as data here)
-    if cfg.enable_reverse_loss:
-        xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
-        rep.rec, g_rec = reconstruction_mse(xbar, x)
-        net.reverse_adjoint(x.dtype.type(cfg.w_rec) * g_rec, rcaches, acc)
+    def reconstruction_lane():
+        xbar, rcaches = net.feed_backward(o, trace=rtrace, want_caches=True)
+        loss, g_rec = reconstruction_mse(xbar, x)
+        racc = net.new_grad_acc()
+        g = net.reverse_adjoint(f(cfg.w_rec) * g_rec, rcaches, racc, hi=split, free=True)
+        return loss, g, rcaches, racc
 
-    # latent generation and one-step feed-forward: the generated latent
-    # should still classify as the annotated label (or, optionally, as
-    # the transformed likelihood treated as a soft target)
-    if cfg.enable_generation and epoch >= cfg.warmup_epochs:
-        obar = transform_likelihood(o, cfg.transform, rng)
-        alphabar, gcaches = net.generate_latent(obar, want_caches=True)
-        ohat, tail_caches = net.one_step_forward(alphabar, want_caches=True)
-        gen_target = target if cfg.gen_target == "label" else obar
-        rep.gen, g_hat = cross_entropy(ohat, gen_target)
-        g_alpha = net.one_step_adjoint(x.dtype.type(cfg.w_gen) * g_hat, tail_caches, acc)
-        if not cfg.gen_stop_grad:
-            net.reverse_adjoint(g_alpha, gcaches, acc, lo=net.final_dense_idx)
+    if cfg.enable_reverse_loss:
+        _, (rep.rec, g, rcaches, racc) = tensor.run_lanes(class_lane, reconstruction_lane)
+        for entry, part in zip(acc, racc):
+            for name, val in part.items():
+                entry[name] += val  # the class backward made every entry
+        # the Dense span's weight gradients, the step's largest transients,
+        # stay off the helper: each thread's heap grows to its own high-water
+        # mark, and the two marks add up in the peak RSS
+        net.reverse_adjoint(g, rcaches, acc, lo=split, free=True)
+    else:
+        class_lane()
 
     if not np.isfinite(rep.total):
         raise NumericError(

@@ -290,6 +290,31 @@ class TestReconstructAndGenerate:
         assert "checkpoint" in capsys.readouterr().err
 
 
+def quick_start(root):
+    """The README's quick start, every output under root, run with
+    --deterministic --seed 7."""
+    ckpt = str(root / "demo" / "checkpoint-final.rvnt")
+    runs = [["train", "--out", str(root / "demo"), "--override", "train.epochs=2",
+             "--override", "net.arch=small", "--override", "net.reverse_activation=forward",
+             "--override", "train.lr0=0.02", "--override", "train.lr_drop_epochs=3,4",
+             "--override", "train.w_rec=0.00128", "--override", "train.clip_grad_norm=5.0"],
+            ["reconstruct", "--checkpoint", ckpt, "--out", str(root / "recon")],
+            ["generate", "--checkpoint", ckpt, "--out", str(root / "gen")]]
+    for argv in runs:
+        assert main(argv + ["--deterministic", "--seed", "7"]) == 0
+
+
+def test_quick_start_manifests_do_not_name_the_directory(tmp_path):
+    # out.dir stays out of the config lines, so the same run into another
+    # directory writes the same bytes
+    quick_start(tmp_path / "a")
+    quick_start(tmp_path / "b")
+    for run in ("demo", "recon", "gen"):
+        a, b = (tmp_path / side / run / "manifest.json" for side in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes(), run
+        assert not any(line.startswith("out.dir=") for line in json.loads(a.read_text())["config"])
+
+
 class TestCompose:
     def test_compose_and_reload(self, tmp_path):
         out = tmp_path / "composed" / "train"

@@ -721,6 +721,80 @@ def test_conv_in_forked_child_after_helper_ran(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_lanes_run_on_two_threads_with_one_conv_worker_each(monkeypatch):
+    # each lane's convs run on its own thread alone, and the caller gets its
+    # two workers back afterwards
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((4, 2, 6, 6))
+    wts = rng.standard_normal((3, 2, 3, 3))
+    seen, kernel = [], tensor._run_chunks
+
+    def spy(chunks, scratch, job):
+        seen.append((threading.get_ident(), tensor._conv_workers()))
+        kernel(chunks, scratch, job)
+
+    monkeypatch.setattr(tensor, "_run_chunks", spy)
+
+    def lane():
+        return threading.get_ident(), tensor._conv_workers(), tensor.conv2d(x, wts, 1, 1)
+
+    first, second = tensor.run_lanes(lane, lane)
+    assert first[0] == threading.get_ident() != second[0]
+    assert first[1] == second[1] == 1
+    assert sorted(seen) == sorted([(first[0], 1), (second[0], 1)])
+    assert first[2].tobytes() == second[2].tobytes()
+    assert tensor._conv_workers() == 2
+    assert np.allclose(first[2], conv2d_loops(x, wts, 1, 1), atol=1e-10)
+
+
+def test_one_worker_runs_the_lanes_in_turn_on_the_caller(monkeypatch):
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 1)
+    order = []
+
+    def lane(name):
+        order.append((name, threading.get_ident()))
+        return name
+
+    assert tensor.run_lanes(lambda: lane("first"), lambda: lane("second")) == ("first", "second")
+    assert order == [("first", threading.get_ident()), ("second", threading.get_ident())]
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_exception_in_either_lane_waits_for_the_other(monkeypatch, failing):
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    failed = threading.Event()
+    ended = []
+
+    def lane(name):
+        if name == failing:
+            failed.set()
+            raise ValueError(f"{name} lane")
+        failed.wait(timeout=30)  # so the other lane has raised by now
+        threading.Event().wait(0.05)
+        ended.append(name)
+
+    with pytest.raises(ValueError, match=failing):
+        tensor.run_lanes(lambda: lane("first"), lambda: lane("second"))
+    assert ended == [{"first": "second", "second": "first"}[failing]]
+
+
+def test_errstate_applies_to_the_helpers_lane(monkeypatch):
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    ran_on = []
+
+    def overflow():
+        ran_on.append(threading.get_ident())
+        return np.full(1, 3e38, np.float32) * np.float32(10)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        tensor.run_lanes(lambda: None, overflow)
+    assert ran_on and ran_on[0] != threading.get_ident()
+    with np.errstate(over="ignore"):
+        assert np.isinf(tensor.run_lanes(lambda: None, overflow)[1]).all()
+
+
 @pytest.mark.parametrize("ci,co", CHANNELS)
 def test_transposed_output_owns_no_padded_buffer(monkeypatch, ci, co):
     # both transposed paths, padded, at stride 1 and 2 (where the phase grid

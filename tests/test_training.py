@@ -2,16 +2,21 @@
 independently written plain-SGD reference."""
 
 import csv
+import dataclasses
+import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from reference_trainer import PlainMlpTrainer
-from revnet import losses, tensor
+from revnet import losses, network, tensor
 from revnet.errors import ConfigError, NumericError
 from revnet.layers import ReverseConfig
-from revnet.network import NetworkSpec
+from revnet.losses import cross_entropy, one_hot, reconstruction_mse
+from revnet.network import NetworkSpec, transform_likelihood
 from revnet.training import (
     METRICS_COLUMNS,
     MetricsRow,
@@ -22,6 +27,7 @@ from revnet.training import (
     lr_at,
     run_experiment,
     sgd_update,
+    _step_gradients,
     train_step,
 )
 
@@ -463,6 +469,198 @@ class TestSaturatedStep:
         _, want = self.step_subnormals(monkeypatch, self.saturated(np.float64), (x, y))
         for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=1e-4, atol=1e-4 * np.max(np.abs(w)))
+
+
+# the small and the baseline topology on 8x8 inputs, 4 classes
+LANE_NETS = {"small": (network.small_cnn_spec, (1, 8, 8)),
+             "baseline": (network.baseline_spec, (3, 8, 8))}
+
+
+def lane_net(arch, pool="upsample", seed=11):
+    spec, shape = LANE_NETS[arch]
+    return spec(shape, 4).build(np.random.default_rng(seed), rcfg=ReverseConfig(pool=pool))
+
+
+def lane_batch(arch, rng, n=6):
+    x = rng.normal(size=(n,) + LANE_NETS[arch][1]).astype(np.float32)
+    return x, rng.integers(0, 4, size=n)
+
+
+def lane_steps(arch, pool="upsample", steps=3, **overrides):
+    """(net, [(LossReport, errors)]) after `steps` rn train_steps."""
+    net = lane_net(arch, pool)
+    data, transform_rng = np.random.default_rng(12), np.random.default_rng(13)
+    cfg = TrainConfig(w_rec=0.01, clip_grad_norm=5.0, **overrides)
+    return net, [train_step(net, lane_batch(arch, data), cfg, transform_rng) for _ in range(steps)]
+
+
+def net_state(net):
+    """The bytes of every parameter and velocity."""
+    params = [(l.W.tobytes(), l.b.tobytes()) for l in net.param_layers()]
+    return params, [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
+
+
+def lane_result(net, reports):
+    return net_state(net), [(dataclasses.astuple(r), m) for r, m in reports]
+
+
+def _train_in_child(results):
+    results.put(lane_result(*lane_steps("small")))
+
+
+def single_lane_walks(net, batch, cfg, rng, accs):
+    """One rn step's gradient walks through the public walkers, in the order
+    of the step before it ran two lanes: the class backward, the whole
+    reconstruction adjoint, then the generation chain's two walks, walk k
+    adding into accs[k]. With one list four times over, that is the sum
+    that step made."""
+    x, labels = batch
+    f = x.dtype.type
+    target = one_hot(labels, 4, dtype=x.dtype)
+    o, _, trace = net.feed_forward(x)
+    net.backward_from_logits(f(cfg.w_cls) * cross_entropy(o, target)[1], trace, accs[0])
+    xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
+    net.reverse_adjoint(f(cfg.w_rec) * reconstruction_mse(xbar, x)[1], rcaches, accs[1])
+    obar = transform_likelihood(o, cfg.transform, rng)
+    alphabar, gcaches = net.generate_latent(obar, want_caches=True)
+    ohat, tail_caches = net.one_step_forward(alphabar, want_caches=True)
+    g_alpha = net.one_step_adjoint(f(cfg.w_gen) * cross_entropy(ohat, target)[1], tail_caches, accs[2])
+    net.reverse_adjoint(g_alpha, gcaches, accs[3], lo=net.final_dense_idx)
+
+
+# Two orders of a float32 sum of four terms t differ by at most about
+# 6u*sum|t|, u = 2^-24. Over seeds 0-9 of both nets and both pool modes the
+# largest difference between the single-lane order and the step's was
+# 2.0u*sum|t|; the bound is three times that, the worst case.
+GRADIENT_ORDER_ULPS = 6
+
+
+class TestLanes:
+    # an rn step runs the class backward and the reconstruction chain as two
+    # lanes (tensor.run_lanes); one conv worker runs them in turn
+
+    @pytest.mark.parametrize("arch,pool,overrides", [
+        ("small", "upsample", {}),
+        ("small", "unpool", {}),
+        ("baseline", "upsample", {}),
+        ("baseline", "unpool", {}),
+        ("small", "upsample", {"gen_stop_grad": True}),
+        ("small", "unpool", {"warmup_epochs": 1}),  # generation off at epoch 0
+    ])
+    def test_one_and_two_workers_same_bytes(self, monkeypatch, arch, pool, overrides):
+        monkeypatch.setattr(tensor, "_COL_BYTES", 4096)  # several chunks per conv
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
+                net, reports = lane_steps(arch, pool, **overrides)
+                runs.append(lane_result(net, reports))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+        assert all(r.rec > 0 and (r.gen > 0) != ("warmup_epochs" in overrides) for r, _ in reports)
+
+    def test_lanes_convs_run_on_one_worker(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+        monkeypatch.setattr(tensor, "_COL_BYTES", 4096)
+        net = lane_net("small")
+        seen, run_chunks = [], tensor._run_chunks
+
+        def spy(chunks, scratch, job):
+            seen.append((threading.get_ident(), tensor._conv_workers()))
+            run_chunks(chunks, scratch, job)
+
+        monkeypatch.setattr(tensor, "_run_chunks", spy)
+        train_step(net, lane_batch("small", np.random.default_rng(12)), TrainConfig(w_rec=0.01),
+                   np.random.default_rng(13))
+        caller = threading.get_ident()
+        # the forward's two convs split their chunks; then the class lane's
+        # four kernels on the caller and the reconstruction lane's six on
+        # the helper run on one worker each
+        assert seen[:2] == [(caller, 2)] * 2
+        assert sorted(w for t, w in seen[2:] if t == caller) == [1] * 4
+        assert [w for t, w in seen[2:] if t != caller] == [1] * 6
+
+    @pytest.mark.parametrize("failing", ["class", "reconstruction"])
+    def test_error_in_a_lane_waits_for_the_other_and_changes_nothing(self, monkeypatch, failing):
+        # an overflow in one lane, raised under the caller's errstate on
+        # either thread, reaches the caller only after the other lane's last
+        # walk, and the update never runs
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+        cfg = TrainConfig(w_rec=0.01, clip_grad_norm=5.0)
+        net = lane_net("small")
+        data = np.random.default_rng(12)
+        train_step(net, lane_batch("small", data), cfg, np.random.default_rng(13))
+        before = net_state(net)
+        first = {"class": "backward_from_logits", "reconstruction": "feed_backward"}
+        other = "class" if failing == "reconstruction" else "reconstruction"
+        failed, ended = threading.Event(), []
+
+        def overflow(*args, **kwargs):
+            failed.set()
+            return np.full(1, 3e38, np.float32) * np.float32(10)
+
+        def after_failure(walk):
+            def call(*args, **kwargs):
+                failed.wait(timeout=30)
+                threading.Event().wait(0.05)
+                return walk(*args, **kwargs)
+            return call
+
+        adjoint = net.reverse_adjoint
+
+        def last_walk(*args, **kwargs):
+            g = adjoint(*args, **kwargs)
+            ended.append("reconstruction" if "hi" in kwargs else
+                         "class" if kwargs.get("lo") == net.final_dense_idx else "dense span")
+            return g
+
+        monkeypatch.setattr(net, first[failing], overflow)
+        monkeypatch.setattr(net, first[other], after_failure(getattr(net, first[other])))
+        monkeypatch.setattr(net, "reverse_adjoint", last_walk)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            train_step(net, lane_batch("small", data), cfg, np.random.default_rng(14))
+        assert ended == [other]
+        assert net_state(net) == before
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_training_in_forked_child_after_lanes_ran(self, monkeypatch):
+        # the child inherits the helper's handle but not its thread
+        monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+        want = lane_result(*lane_steps("small"))
+        assert tensor._HELPER is not None
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_train_in_child, args=(results,))
+        child.start()
+        try:
+            got = results.get(timeout=120)
+            child.join(timeout=60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+        assert got == want
+
+    @pytest.mark.parametrize("pool", ["upsample", "unpool"])
+    @pytest.mark.parametrize("arch", sorted(LANE_NETS))
+    def test_lanes_change_only_the_order_of_the_sums(self, arch, pool):
+        cfg = TrainConfig(w_rec=0.01)
+        for seed in range(10):
+            net = lane_net(arch, pool, seed)
+            batch = lane_batch(arch, np.random.default_rng(seed))
+            want, terms = net.new_grad_acc(), [net.new_grad_acc() for _ in range(4)]
+            single_lane_walks(net, batch, cfg, np.random.default_rng(seed), [want] * 4)
+            single_lane_walks(net, batch, cfg, np.random.default_rng(seed), terms)
+            got = _step_gradients(net, batch, cfg, np.random.default_rng(seed), 0)[2]
+            assert [set(e) for e in got] == [set(e) for e in want]
+            for i, entry in enumerate(got):
+                for name, g in entry.items():
+                    size = sum(np.abs(t[i][name]) for t in terms if name in t[i])
+                    bound = GRADIENT_ORDER_ULPS * 2.0 ** -24 * size
+                    assert np.all(np.abs(g - want[i][name]) <= bound), (arch, pool, seed, i, name)
 
 
 class TestDescent:
