@@ -440,7 +440,7 @@ class MaxPool(Layer):
             return v, ("fold", None)
         if mode == "unpool":
             if trace_entry is None:
-                raise DomainError("index unpooling needs the forward trace")
+                raise StateError("index unpooling needs the forward trace")
             xshape, masks = trace_entry
             return self._scatter(v, masks, xshape), (mode, masks)
         k = self.window

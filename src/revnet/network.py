@@ -40,14 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import ConfigError, DomainError, ShapeError, StateError
+from .errors import ConfigError, DomainError, NumericError, ShapeError, StateError
 from .layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 
 
 def check_likelihood(o, tol=1e-6):
-    """Validate the simplex invariant: entries in [0,1], rows sum to 1."""
+    """Validate the simplex invariant: entries finite (else NumericError)
+    and in [0,1], rows sum to 1."""
     if o.ndim != 2:
         raise ShapeError(f"likelihood must be [batch x classes], got {o.shape}")
+    if not np.all(np.isfinite(o)):
+        raise NumericError("likelihood has non-finite entries")
     if np.any(o < -tol) or np.any(o > 1 + tol):
         raise DomainError("likelihood entries outside [0,1]")
     if np.any(np.abs(o.sum(axis=1) - 1) > tol):
@@ -252,7 +255,7 @@ class ReversibleNetwork:
 
     def predict(self, x):
         o, _, _ = self.feed_forward(x)
-        return tensor.argmax_last(o)
+        return np.argmax(o, axis=-1)
 
     def backward_from_logits(self, g, trace, acc, free=False):
         """Backprop a gradient given w.r.t. the pre-softmax logits (the
@@ -302,10 +305,6 @@ class ReversibleNetwork:
         inverse softmax first, then every layer reversed."""
         if self.has_head:
             check_likelihood(np.asarray(o), tol=1e-4)
-        if self.rcfg.pool == "unpool" and trace is None and any(
-            isinstance(l, MaxPool) for l in self.layers
-        ):
-            raise StateError("index-unpool reverse needs the forward trace")
         return self._reverse_span(o, len(self.layers), 0, trace, want_caches)
 
     def reverse_adjoint(self, g, rcaches, acc, hi=None, lo=0, free=False):
@@ -322,13 +321,12 @@ class ReversibleNetwork:
         if self.final_dense_idx is None or not self.has_head:
             raise ConfigError("latent generation needs a dense layer and a softmax head")
 
-    def generate_latent(self, o_transformed, to_input=False, trace=None, want_caches=False):
+    def generate_latent(self, o_transformed, trace=None, want_caches=False):
         """Reverse the classification tail (inverse softmax + final Dense),
-        landing at the penultimate feature level; with to_input=True keep
-        reversing to pixel space (Figure-style visualization)."""
+        landing at the penultimate feature level; reverse_from_latent
+        continues to pixel space."""
         self._require_tail()
-        lo = 0 if to_input else self.final_dense_idx
-        return self._reverse_span(o_transformed, len(self.layers), lo, trace, want_caches)
+        return self._reverse_span(o_transformed, len(self.layers), self.final_dense_idx, trace, want_caches)
 
     def reverse_from_latent(self, alpha, trace=None):
         """Continue a reverse pass from the penultimate feature level down

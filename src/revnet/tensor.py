@@ -45,25 +45,23 @@ buffers) fits _COL_BYTES bytes, or holds one sample where that is larger.
 The chunks are balanced: an even number of them, their lengths differing
 by at most one.
 
-The chunks are shared between two workers, the calling thread and one
-persistent helper thread, each with its own buffers, while every BLAS
-call stays as threaded as the BLAS is: the caller runs the even chunks
-and the helper the odd ones. The worker count is max(1, budget // BLAS
-threads), at most 2, where the budget is the set_threads cap
-(REVNET_THREADS in the CLI) or else the CPUs this process may run on. So
-a BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1) on two CPUs gets two
-workers, a BLAS threaded over every CPU gets one, and
-set_threads(1) (--deterministic) gets one. Forward and transposed chunks
-write disjoint output slices, and the weight gradient's two halves do not
-depend on who computed them, so all three kernels give the same bits for
-one worker and for two.
-
-The same helper thread also runs the second lane of run_lanes, which
-puts two independent chains of work side by side (a training step's class
-backward and its reconstruction chain). Inside a lane the conv kernels run
-on one worker, the lane's own thread, so a lane never waits on the helper
-it runs on; with one worker the lanes run one after the other on the
-caller.
+One persistent helper thread runs beside the calling thread, and
+run_lanes is its one door: it runs two independent chains of work side by
+side, the first on the caller and the second on the helper, each lane's
+conv kernels on one worker, the lane's own thread, so a lane never waits
+on the helper it runs on. A conv kernel's chunks are two such lanes, the
+even chunks and the odd ones, each with its own buffers, while every BLAS
+call stays as threaded as the BLAS is; so are a training step's class
+backward and its reconstruction chain. The worker count is max(1,
+budget // BLAS threads), at most 2, where the budget is the set_threads
+cap (REVNET_THREADS in the CLI) or else the CPUs this process may run on.
+So a BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1) on two CPUs gets
+two workers, a BLAS threaded over every CPU gets one, and set_threads(1)
+(--deterministic) gets one; with one worker the lanes run one after the
+other on the caller. Forward and transposed chunks write disjoint output
+slices, and the weight gradient's two halves do not depend on who
+computed them, so all three kernels give the same bits for one worker and
+for two.
 """
 
 import contextlib
@@ -231,41 +229,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_chunks(chunks, scratch, job):
-    """Call job(i, b0, b1, bufs) for every batch chunk i = (b0, b1), on up to
-    two workers, each with its own scratch() buffers: the caller runs the
-    even chunks and the helper thread the odd ones. Every buffer is
-    allocated here, on the caller: a heap of the helper thread's own would
-    add its high-water mark to the peak RSS."""
-    workers = min(_conv_workers(), len(chunks))
-
-    def run(first, bufs):
-        for i in range(first, len(chunks), workers):
-            job(i, *chunks[i], bufs)
-
-    if workers == 1:
-        run(0, scratch())
-        return
-    errs = np.geterr()  # np.errstate is per thread (numpy 1.x) or per context (2.x)
-
-    def helper_half(bufs):
-        with np.errstate(**errs):
-            run(1, bufs)
-
-    done = _helper().submit(helper_half, scratch())
-    try:
-        run(0, scratch())
-    finally:
-        done.exception()  # the helper's half ends before the caller's error propagates
-    done.result()
-
-
 def run_lanes(first, second):
     """(first(), second()): first on the caller and second on the helper
     thread, side by side, where there are two conv workers, else one after
     the other on the caller. Inside a lane the conv kernels run on one
     worker, so a lane never waits on the helper it runs on. The helper's
-    lane runs under the caller's errstate, and an exception in either lane
+    lane runs under the caller's errstate (np.errstate is per thread in
+    numpy 1.x, per context in 2.x), and an exception in either lane
     propagates only after both have ended."""
     if _conv_workers() < 2:
         return first(), second()
@@ -288,6 +258,25 @@ def run_lanes(first, second):
     finally:
         done.exception()
     return a, done.result()
+
+
+def _run_chunks(chunks, scratch, job):
+    """Call job(i, b0, b1, bufs) for every batch chunk i = (b0, b1), on up to
+    two workers, each with its own scratch() buffers: the even chunks and
+    the odd ones run as the two lanes of run_lanes. Every buffer is
+    allocated here, on the caller: a heap of the helper thread's own would
+    add its high-water mark to the peak RSS."""
+    workers = min(_conv_workers(), len(chunks))
+
+    def run(first, bufs):
+        for i in range(first, len(chunks), workers):
+            job(i, *chunks[i], bufs)
+
+    if workers == 1:
+        run(0, scratch())
+        return
+    odd = scratch()
+    run_lanes(lambda: run(0, scratch()), lambda: run(1, odd))
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +305,6 @@ def blockwise(fn, out, *ins, scratch=1):
         hi = min(out.size, lo + step)
         fn(*(a[lo:hi] for a in flat), *tmp[:, : hi - lo])
     return out
-
-
-def argmax_last(a):
-    return np.argmax(a, axis=-1)
 
 
 def gaussian_fill(shape, rng, mean=0.0, std=1.0, dtype=SINGLE):
@@ -438,29 +423,51 @@ def _conv2d_transposed_subpixel(y, kernel, s, pad, h, w):
 
 def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     """Gradient of sum(upstream * conv2d(x, K)) with respect to K, lowered
-    like _conv2d: kH kernel rows per GEMM where C_in*kW < _ROW_MIN, else one."""
+    through _shifted's full form where C_in*kW < _ROW_MIN, else its rows
+    form. x[b0:b1] is copied once into the shifted copy with the batch
+    between rows and columns, shifted[c, j, r, Y, m, X], and the upstream
+    chunk into u[C_out, H', m, W']. Each GEMM reads its kernel rows of the
+    copy as one [C_in*kW*rows, H'*m*W'] matrix with unit column stride, and
+    its slice of the chunk's partial [GEMMs, C_in, kW, rows, C_out] gets
+    that matrix @ u^T. Each worker's copy is one flat buffer, shaped to each
+    chunk's m: the balanced chunks have at most two lengths, the longer
+    first, so the entries outside the input are zeroed when the copy is
+    first shaped and again at the one change of m."""
     x, _ = _as_batched(x)
     upstream, _ = _as_batched(upstream)
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel_shape
-    if upstream.shape != (b, co, *_conv_geometry(h, w, kh, kw, stride, pad)) or kernel_shape[1] != ci:
+    ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
+    if upstream.shape != (b, co, ho, wo) or kernel_shape[1] != ci:
         raise ShapeError(f"conv2d_weight_grad: upstream {upstream.shape} and input {x.shape} "
                          f"do not fit kernel {tuple(kernel_shape)} at stride {stride}, pad {pad}")
-    sample, scratch, grad, part_shape = _kernel_rows_grad(x, upstream, (kh, kw), stride, pad,
-                                                          ci * kw < _ROW_MIN)
-    chunks, n = _chunks(b, sample * x.itemsize)
+    shape, gemms, copy, _ = _shifted((ci, h, w), kh, kw, stride, pad, ho, wo, 4, ci * kw < _ROW_MIN)
+    sample = math.prod(shape(1))
+    part_shape = (len(gemms), ci, kw, kh // len(gemms), co)
+    chunks, n = _chunks(b, (sample + co * ho * wo) * x.itemsize)
     # the even and the odd chunks sum, each in chunk order, into separate
     # halves, added last. Each half has one worker, so the result is the
     # same for one worker and for two. The halves hold the gradient as
-    # [GEMMs, C_in, kW, kernel rows per GEMM, C_out], transposed once at the end
+    # part_shape, transposed once at the end
     halves = np.zeros((2, *part_shape), dtype=x.dtype)
 
     def buffers():
-        return scratch(n), np.empty(part_shape, dtype=x.dtype)
+        return [np.empty(n * sample, dtype=x.dtype), np.empty(co * n * ho * wo, dtype=x.dtype),
+                np.empty(part_shape, dtype=x.dtype), None]
 
     def job(i, b0, b1, bufs):
-        grad(b0, b1, *bufs)
-        halves[i % 2] += bufs[1]
+        flat, ubuf, part, shifted = bufs
+        m = b1 - b0
+        if shifted is None or shifted.shape[4] != m:
+            shifted = bufs[3] = flat[: m * sample].reshape(shape(m))
+            shifted.fill(0)
+        copy(x[b0:b1], shifted)
+        u = ubuf[: co * m * ho * wo].reshape(co, ho, m, wo)
+        np.copyto(u, upstream[b0:b1].transpose(1, 2, 0, 3))
+        ut = u.reshape(co, ho * m * wo).T
+        for g, (rs, ys) in enumerate(gemms):
+            np.matmul(shifted[:, :, rs, ys].reshape(-1, ho * m * wo), ut, out=part[g].reshape(-1, co))
+        halves[i % 2] += part
 
     _run_chunks(chunks, buffers, job)
     return np.ascontiguousarray((halves[0] + halves[1]).transpose(4, 1, 0, 3, 2)).reshape(co, ci, kh, kw)
@@ -538,97 +545,47 @@ def _shifted(chw, kh, kw, s, pad, ho, wo, axis, full):
     return shape, gemms, copy, add
 
 
-def _kernel_rows(x, kernel, s, pad, ho, wo, full):
-    """The lowering of _conv2d, in _shifted's full form where full, else its
-    rows form: (per-sample scratch elements, scratch(n), conv(b0, b1, bufs,
-    z)). x[b0:b1] is copied once into the shifted copy, the batch first,
-    whose entries outside the input stay zero from allocation on. Each GEMM
-    reads its kernel rows of it as one [C_in*kW*rows, H'*W'] matrix per
-    sample, with unit column stride, so it takes the view without a copy, and
-    z gets the sum over GEMMs of those kernel rows @ that view: the first
-    written, each later one added through an accumulation buffer."""
-    co, ci, kh, kw = kernel.shape
-    shape, gemms, copy, _ = _shifted(x.shape[1:], kh, kw, s, pad, ho, wo, 0, full)
+def _conv2d(x, kernel, stride, pad, store=None):
+    """conv2d of a batched input, lowered through _shifted's full form where
+    C_in*kW < _ROW_MIN, else its rows form. The sub-pixel path of
+    conv2d_transposed calls this, not conv2d, so a wrapper counting conv2d
+    calls sees none from it. x[b0:b1] is copied once into the shifted copy,
+    the batch first, whose entries outside the input stay zero from
+    allocation on. Each GEMM reads its kernel rows of it as one
+    [C_in*kW*rows, H'*W'] matrix per sample, with unit column stride, so it
+    takes the view without a copy, and the chunk's result z gets the sum
+    over GEMMs of those kernel rows @ that view: the first written, each
+    later one added through an accumulation buffer. z is the chunk's slice
+    of the output, or, with store, the worker's own buffer, handed to
+    store(b0, b1, z) as [b1-b0, C_out, H', W'], and nothing is returned."""
+    b, ci, h, w = x.shape
+    co, _, kh, kw = kernel.shape
+    ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
+    shape, gemms, copy, _ = _shifted((ci, h, w), kh, kw, stride, pad, ho, wo, 0, ci * kw < _ROW_MIN)
     kmats = (np.ascontiguousarray(kernel.reshape(co, ci, len(gemms), -1, kw).transpose(2, 0, 1, 4, 3),
                                   dtype=x.dtype).reshape(len(gemms), co, -1))
+    out = None if store else np.empty((b, co, ho * wo), dtype=x.dtype)
+    chunks, n = _chunks(b, (math.prod(shape(1)) + co * ho * wo * ((len(gemms) > 1) + (store is not None)))
+                        * x.itemsize)
 
-    def scratch(n):
+    def buffer(needed):
+        return np.empty((n, co, ho * wo), dtype=x.dtype) if needed else None
+
+    def buffers():
         shifted = np.zeros(shape(n), dtype=x.dtype)
         views = [shifted[:, :, :, rs, ys].reshape(n, -1, ho * wo) for rs, ys in gemms]
-        return shifted, views, np.empty((n, co, ho * wo), dtype=x.dtype) if len(gemms) > 1 else None
+        return shifted, views, buffer(len(gemms) > 1), buffer(store is not None)
 
-    def conv(b0, b1, bufs, z):
-        shifted, views, acc = bufs
+    def job(_, b0, b1, bufs):
+        shifted, views, acc, z = bufs
         m = b1 - b0
+        z = out[b0:b1] if store is None else z[:m]
         copy(x[b0:b1], shifted[:m])
         np.matmul(kmats[0], views[0][:m], out=z)
         for kmat, view in zip(kmats[1:], views[1:]):
             z += np.matmul(kmat, view[:m], out=acc[:m])
-
-    return math.prod(shape(1)) + (co * ho * wo if len(gemms) > 1 else 0), scratch, conv
-
-
-def _kernel_rows_grad(x, upstream, kernel_hw, s, pad, full):
-    """The lowering of conv2d_weight_grad, in _shifted's full form where
-    full, else its rows form: (per-sample scratch elements, scratch(n),
-    grad(b0, b1, bufs, part), the partial's shape). x[b0:b1] is copied once
-    into the shifted copy with the batch between rows and columns,
-    shifted[c, j, r, Y, m, X], and the upstream chunk into u[C_out, H', m,
-    W']. Each GEMM reads its kernel rows of the copy as one
-    [C_in*kW*rows, H'*m*W'] matrix with unit column stride, and its slice of
-    part [GEMMs, C_in, kW, rows, C_out] gets that matrix @ u^T.
-    Each worker's copy is one flat buffer, shaped to each chunk's m: the
-    balanced chunks have at most two lengths, the longer first, so the
-    entries outside the input are zeroed when the copy is first shaped and
-    again at the one change of m."""
-    ci = x.shape[1]
-    co, ho, wo = upstream.shape[1:]
-    kh, kw = kernel_hw
-    shape, gemms, copy, _ = _shifted(x.shape[1:], kh, kw, s, pad, ho, wo, 4, full)
-    sample = math.prod(shape(1))
-
-    def scratch(n):
-        return np.empty(n * sample, dtype=x.dtype), np.empty(co * n * ho * wo, dtype=x.dtype), [None]
-
-    def grad(b0, b1, bufs, part):
-        flat, ubuf, shaped = bufs
-        m = b1 - b0
-        if shaped[0] is None or shaped[0].shape[4] != m:
-            shaped[0] = flat[: m * sample].reshape(shape(m))
-            shaped[0].fill(0)
-        shifted = shaped[0]
-        copy(x[b0:b1], shifted)
-        u = ubuf[: co * m * ho * wo].reshape(co, ho, m, wo)
-        np.copyto(u, upstream[b0:b1].transpose(1, 2, 0, 3))
-        ut = u.reshape(co, ho * m * wo).T
-        for g, (rs, ys) in enumerate(gemms):
-            np.matmul(shifted[:, :, rs, ys].reshape(-1, ho * m * wo), ut, out=part[g].reshape(-1, co))
-
-    return sample + co * ho * wo, scratch, grad, (len(gemms), ci, kw, kh // len(gemms), co)
-
-
-def _conv2d(x, kernel, stride, pad, store=None):
-    """conv2d of a batched input, lowered by _kernel_rows: kH kernel rows
-    per GEMM where C_in*kW < _ROW_MIN, else one. The sub-pixel path of
-    conv2d_transposed calls this, not conv2d, so a wrapper counting conv2d
-    calls sees none from it. With store, nothing is returned: each chunk's
-    result goes to store(b0, b1, z), z [b1-b0, C_out, H', W'] in the
-    worker's own buffer."""
-    b, ci, h, w = x.shape
-    co, _, kh, kw = kernel.shape
-    ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)
-    sample, scratch, conv = _kernel_rows(x, kernel, stride, pad, ho, wo, ci * kw < _ROW_MIN)
-    out = None if store else np.empty((b, co, ho * wo), dtype=x.dtype)
-    chunks, n = _chunks(b, (sample + (co * ho * wo if store else 0)) * x.itemsize)
-
-    def buffers():
-        return scratch(n), np.empty((n, co, ho * wo), dtype=x.dtype) if store else None
-
-    def job(_, b0, b1, bufs):
-        z = out[b0:b1] if store is None else bufs[1][: b1 - b0]
-        conv(b0, b1, bufs[0], z)
         if store is not None:
-            store(b0, b1, z.reshape(b1 - b0, co, ho, wo))
+            store(b0, b1, z.reshape(m, co, ho, wo))
 
     _run_chunks(chunks, buffers, job)
     return None if store else out.reshape(b, co, ho, wo)

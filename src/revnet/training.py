@@ -187,7 +187,7 @@ def _step_gradients(net, batch, cfg, rng, epoch):
     o, _, trace = net.feed_forward(x)
     rep = LossReport(w_cls=cfg.w_cls, w_rec=cfg.w_rec, w_gen=cfg.w_gen)
     rep.cls, g_logits = cross_entropy(o, target)
-    mis = int(np.sum(tensor.argmax_last(o) != labels))
+    mis = int(np.sum(np.argmax(o, axis=-1) != labels))
     # the reverse path reads only the pool masks (unpool mode) of the trace
     rtrace = [c if isinstance(l, MaxPool) else None for l, c in zip(net.layers, trace)]
     split = next(i for i, l in enumerate(net.layers) if isinstance(l, Dense))
@@ -256,7 +256,7 @@ def evaluate(net, images, labels, n_classes, batch_size=100):
         o, _, _ = net.feed_forward(xb)
         loss, _ = cross_entropy(o, one_hot(yb, n_classes, dtype=o.dtype))
         total_loss += loss * xb.shape[0]
-        conf += confusion_counts(yb, tensor.argmax_last(o), n_classes)
+        conf += confusion_counts(yb, np.argmax(o, axis=-1), n_classes)
     correct = np.trace(conf)
     per_class = conf.sum(axis=1)
     recall = np.where(per_class > 0, np.diag(conf) / np.maximum(per_class, 1), 0.0)

@@ -6,7 +6,7 @@ import copy
 import numpy as np
 import pytest
 
-from revnet.errors import ConfigError, DomainError, ShapeError, StateError
+from revnet.errors import ConfigError, DomainError, NumericError, ShapeError, StateError
 from revnet.layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 from revnet.network import (
     ARCHITECTURES,
@@ -46,6 +46,13 @@ class TestCheckLikelihood:
     def test_tolerance_absorbs_rounding(self):
         o = np.array([[0.5 + 1e-8, 0.5 - 1e-8]])
         check_likelihood(o)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN compares false against both bounds and the row sum, so it
+        # is caught before them, as a numeric error rather than a domain one
+        with pytest.raises(NumericError):
+            check_likelihood(np.array([[bad, 0.5], [0.5, 0.5]]))
 
 
 class TestTransformConfig:
@@ -303,11 +310,25 @@ class TestReversePaths:
         with pytest.raises(DomainError):
             net.feed_backward(np.full((1, 10), -0.1, dtype=np.float32))
 
+    def test_feed_backward_rejects_nan_likelihood(self):
+        net = small_net()
+        o = np.full((2, 10), 0.1, dtype=np.float32)
+        o[0, 3] = np.nan
+        with pytest.raises(NumericError):
+            net.feed_backward(o)
+
     def test_unpool_requires_trace(self):
         net = small_net(rcfg=ReverseConfig(pool="unpool"))
         o = np.full((1, 10), 0.1, dtype=np.float32)
         with pytest.raises(StateError):
             net.feed_backward(o)
+
+    def test_unpool_reverse_from_latent_requires_trace(self):
+        net = small_net(rcfg=ReverseConfig(pool="unpool"))
+        x = np.random.default_rng(6).normal(size=(2, 1, 16, 16)).astype(np.float32)
+        o, alpha, _ = net.feed_forward(x)
+        with pytest.raises(StateError):
+            net.reverse_from_latent(alpha)
 
     def test_unpool_with_trace_works(self):
         net = small_net(rcfg=ReverseConfig(pool="unpool"))
@@ -322,8 +343,6 @@ class TestReversePaths:
         o, alpha, trace = net.feed_forward(x)
         lat = net.generate_latent(o, trace=trace)
         assert lat.shape == alpha.shape
-        full = net.generate_latent(o, to_input=True, trace=trace)
-        assert full.shape == x.shape
 
     def test_generation_composes_to_feed_backward(self):
         # reversing the tail then continuing from the latent walks the

@@ -108,16 +108,15 @@ def transposed_path(monkeypatch, y, w, stride, pad):
 
 
 def conv_lowerings(monkeypatch, fn, *args):
-    """fn(*args) and the forms _conv2d and conv2d_weight_grad lowered by on
-    the way, in call order: "im2col" for kH kernel rows per GEMM (the
-    shifted copy's full form), "rows" for one."""
-    taken = []
+    """fn(*args) and the forms of _shifted's copy its conv kernels lowered
+    through, in call order: "im2col" for the full form (kH kernel rows per
+    GEMM, and col2im's), "rows" for the rows form (one)."""
+    taken, shifted = [], tensor._shifted
     with monkeypatch.context() as m:
-        for name in ("_kernel_rows", "_kernel_rows_grad"):
-            def spy(*a, _lower=getattr(tensor, name)):
-                taken.append("im2col" if a[-1] else "rows")
-                return _lower(*a)
-            m.setattr(tensor, name, spy)
+        def spy(*a):
+            taken.append("im2col" if a[-1] else "rows")
+            return shifted(*a)
+        m.setattr(tensor, "_shifted", spy)
         return fn(*args), taken
 
 
@@ -191,7 +190,8 @@ def test_row_lowering_matches_direct_loops(monkeypatch, stride, k, pad, ci, co):
     t = -(-k // stride)
     subpixel = (stride > 1 or 2 * ci >= co) and pad // stride <= t - 1
     got_t, taken = conv_lowerings(monkeypatch, tensor.conv2d_transposed, y, wts, stride, pad)
-    assert taken == (["rows" if co * t >= 16 else "im2col"] if subpixel else [])
+    # col2im lowers through the full form's adjoint
+    assert taken == (["rows" if co * t >= 16 else "im2col"] if subpixel else ["im2col"])
     assert np.allclose(got_t, conv2d_transposed_loops(y, wts, stride, pad), atol=1e-10)
     # one sample per chunk: the helper runs the middle one
     monkeypatch.setattr(tensor, "_COL_BYTES", 1)
@@ -324,7 +324,8 @@ def test_weight_grad_chunks_of_two_lengths(monkeypatch, dtype, stride, k, pad):
         x = rng.standard_normal((10, ci, h, w)).astype(dtype)
         g = rng.standard_normal((10, co, ho, wo)).astype(dtype)
         full = ci * k < 16
-        sample = tensor._kernel_rows_grad(x, g, (k, k), stride, pad, full)[0] * x.itemsize
+        shape = tensor._shifted((ci, h, w), k, k, stride, pad, ho, wo, 4, full)[0]
+        sample = (int(np.prod(shape(1))) + co * ho * wo) * x.itemsize  # the copy and the upstream
         monkeypatch.setattr(tensor, "_COL_BYTES", 3 * sample)
         assert [b1 - b0 for b0, b1 in tensor._chunks(10, sample)[0]] == [3, 3, 2, 2]
         want = conv2d_weight_grad_loops(x.astype(np.float64), g.astype(np.float64), (co, ci, k, k), stride, pad)
@@ -795,6 +796,44 @@ def test_errstate_applies_to_the_helpers_lane(monkeypatch):
         assert np.isinf(tensor.run_lanes(lambda: None, overflow)[1]).all()
 
 
+def test_chunk_halves_run_as_lanes(monkeypatch):
+    # a job on either half sees one conv worker, so a conv inside it never
+    # submits work to the helper it runs on; the caller keeps its two
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    seen = []
+
+    def job(i, b0, b1, bufs):
+        seen.append((i, threading.get_ident() == caller, tensor._conv_workers()))
+
+    caller = threading.get_ident()
+    tensor._run_chunks([(i, i + 1) for i in range(4)], lambda: None, job)
+    assert sorted(seen) == [(0, True, 1), (1, False, 1), (2, True, 1), (3, False, 1)]
+    assert tensor._conv_workers() == 2
+
+
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_weight_grad", "col2im"])
+def test_kernel_call_reaches_the_helper_through_run_lanes_once(monkeypatch, kernel):
+    monkeypatch.setattr(tensor, "_CONV_WORKERS", 2)
+    monkeypatch.setattr(tensor, "_COL_BYTES", 1)  # one sample per chunk
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((4, 1, 6, 6))
+    wts = rng.standard_normal((4, 1, 3, 3))
+    g = rng.standard_normal((4, 4, 6, 6))
+    assert transposed_path(monkeypatch, g, wts, 1, 1)[1] == "col2im"
+    call, want = {"conv2d": (lambda: tensor.conv2d(x, wts, 1, 1), lambda: conv2d_loops(x, wts, 1, 1)),
+                  "conv2d_weight_grad": (lambda: tensor.conv2d_weight_grad(x, g, wts.shape, 1, 1),
+                                         lambda: conv2d_weight_grad_loops(x, g, wts.shape, 1, 1)),
+                  "col2im": (lambda: tensor.conv2d_transposed(g, wts, 1, 1),
+                             lambda: conv2d_transposed_loops(g, wts, 1, 1))}[kernel]
+    lanes, helpers = [], []
+    run_lanes, helper = tensor.run_lanes, tensor._helper
+    monkeypatch.setattr(tensor, "run_lanes", lambda *a: lanes.append(a) or run_lanes(*a))
+    monkeypatch.setattr(tensor, "_helper", lambda: helpers.append(1) or helper())
+    got = call()
+    assert len(lanes) == len(helpers) == 1
+    assert np.allclose(got, want(), atol=1e-10)
+
+
 @pytest.mark.parametrize("ci,co", CHANNELS)
 def test_transposed_output_owns_no_padded_buffer(monkeypatch, ci, co):
     # both transposed paths, padded, at stride 1 and 2 (where the phase grid
@@ -886,11 +925,6 @@ def test_gaussian_fill_deterministic_and_typed():
     b = tensor.gaussian_fill((3, 3), np.random.default_rng(42), 0.0, 1.0, tensor.SINGLE)
     assert a.dtype == np.float32
     assert np.array_equal(a, b)
-
-
-def test_argmax_last():
-    a = np.array([[0.1, 0.7, 0.2], [0.9, 0.05, 0.05]])
-    assert np.array_equal(tensor.argmax_last(a), [1, 0])
 
 
 def test_blockwise_covers_every_element_once(monkeypatch):

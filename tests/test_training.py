@@ -340,6 +340,7 @@ class TestAllOrNothingUpdate:
             train_step(net, batch, cfg, np.random.default_rng(6))
         assert self.state(net) == before
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_overflowing_update_changes_nothing(self, monkeypatch):
         # the summed gradient stays finite, but lr * gradient overflows
         # float32, so the last layer's new parameters would be infinite
@@ -350,6 +351,7 @@ class TestAllOrNothingUpdate:
             train_step(net, batch, TrainConfig(lr0=100.0), np.random.default_rng(6))
         assert self.state(net) == before
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf spreads on purpose
     @pytest.mark.parametrize("pool", ["upsample", "unpool"])
     @pytest.mark.parametrize("op", ["backward", "reverse_backward"])
     def test_non_finite_upstream_gradient_raises(self, monkeypatch, op, pool):
