@@ -64,9 +64,16 @@ def _read_header(path):
         blob = fh.read(hlen)
         if len(blob) < hlen:
             raise FormatError(f"{path}: truncated header at byte {len(MAGIC) + 4}")
+    try:
         header = json.loads(blob)
+    except ValueError as exc:
+        raise FormatError(f"{path}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise StateError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    if header.get("dtype") not in _DTYPES:
+        raise FormatError(f"{path}: unsupported parameter dtype {header.get('dtype')!r}")
     return header, len(MAGIC) + 4 + hlen
 
 
@@ -79,8 +86,7 @@ def load_checkpoint(path, rcfg=None):
     header, offset = _read_header(path)
     dtype = _DTYPES[header["dtype"]]
     spec = NetworkSpec(tuple(header["input_shape"]), header["n_classes"], header["tokens"])
-    net = spec.build(np.random.default_rng(0), dtype=np.dtype(header["dtype"]).type, rcfg=rcfg)
-    net.dtype = np.dtype(header["dtype"]).type
+    net = spec.build(np.random.default_rng(0), dtype=dtype.type, rcfg=rcfg)
     with open(path, "rb") as fh:
         fh.seek(offset)
         for rec in header["params"]:

@@ -6,7 +6,9 @@ reconstruct (side-by-side input/reconstruction grids), generate
 (class-imbalance subsampling to CIFAR-style records). train,
 reconstruct and generate write a manifest.json inventorying their outputs;
 compose writes the composed dataset's own manifest.json (geometry, class
-counts, profile) instead. Exit codes: 0 ok, 2 configuration error, 3 data
+counts, profile) instead. Each command builds the settings it uses (the
+DataConfig, NetConfig and other dataclasses) before it reads any file or
+checkpoint. Exit codes (EXIT_CODES): 0 ok, 2 configuration error, 3 data
 error, 4 numeric divergence.
 """
 
@@ -23,100 +25,18 @@ import numpy as np
 
 from . import __version__, tensor
 from .checkpoint import load_checkpoint
-from .config import (
-    config_lines,
-    load_config,
-    network_spec_from,
-    reverse_config_from,
-    train_config_from,
-    typed,
-)
-from .data import (
-    ImbalanceProfile,
-    augment,
-    compose_imbalanced,
-    load_cifar_binary,
-    load_composed,
-    load_mnist_dir,
-    normalize_channelwise,
-    save_composed,
-    synthetic_digits,
-)
+from .config import (config_lines, load_config, reverse_config_from, settings_from,
+                     train_config_from, typed)
+from .data import DataConfig, ImbalanceProfile, augment, compose_imbalanced, save_composed
 from .errors import ConfigError, DataError, NumericError, RevnetError
 from .imaging import generation_grid, reconstruction_grid, save_image
-from .network import transform_likelihood
+from .network import NetConfig, transform_likelihood
 from .training import run_experiment
-
-SYNTH_TRAIN_SEED = 1001
-SYNTH_TEST_SEED = 2002
-
-
-def _mnist_root(values):
-    root = typed(values, "data.root")
-    return root or os.environ.get("REVNET_MNIST_DIR", "data/mnist")
-
-
-def resolve_raw_dataset(values, split):
-    """Load one split of the configured dataset, pixels in [0,1],
-    no normalization applied."""
-    kind = typed(values, "data.kind")
-    if kind == "synthetic":
-        n = typed(values, "data.n_per_class" if split == "train" else "data.test_n_per_class")
-        seed = SYNTH_TRAIN_SEED if split == "train" else SYNTH_TEST_SEED
-        return synthetic_digits(n, seed=seed, noise=typed(values, "data.noise"))
-    if kind == "mnist":
-        train, test = load_mnist_dir(_mnist_root(values))
-        return train if split == "train" else test
-    root = typed(values, "data.root")
-    if not root:
-        raise ConfigError(f"data.kind={kind} needs data.root")
-    if kind == "cifar10":
-        if split == "train":
-            paths = [os.path.join(root, f"data_batch_{i}.bin") for i in range(1, 6)]
-        else:
-            paths = [os.path.join(root, "test_batch.bin")]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            raise DataError(f"missing CIFAR-10 files: {', '.join(missing)}")
-        return load_cifar_binary(paths, class_count=10)
-    if kind == "cifar100":
-        name = "train.bin" if split == "train" else "test.bin"
-        path = os.path.join(root, name)
-        if not os.path.exists(path):
-            raise DataError(f"missing CIFAR-100 file: {path}")
-        coarse = typed(values, "data.coarse")
-        return load_cifar_binary([path], coarse=coarse, class_count=20 if coarse else 100)
-    if kind == "composed":
-        sub = os.path.join(root, split)
-        if not os.path.isdir(sub):
-            raise DataError(f"composed dataset split not found: {sub}")
-        return load_composed(sub)
-    raise ConfigError(f"data.kind must be synthetic|mnist|cifar10|cifar100|composed, got {kind!r}")
-
-
-def resolve_dataset_pair(values):
-    """(train, test, class_count) with data.limit and normalization applied;
-    test reuses the training-set statistics."""
-    train = resolve_raw_dataset(values, "train")
-    test = resolve_raw_dataset(values, "test")
-    limit = typed(values, "data.limit")
-    if limit:
-        train = train.take(np.arange(min(limit, len(train))))
-    mode = typed(values, "data.normalize")
-    if mode != "none":
-        train, stats = normalize_channelwise(train, mode=mode)
-        test, _ = normalize_channelwise(test, stats=stats, mode=mode)
-    return train, test, train.class_count
-
-
-def _sha256(data):
-    return hashlib.sha256(data).hexdigest()
 
 
 def dataset_fingerprint(ds):
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.images).tobytes())
-    h.update(np.ascontiguousarray(ds.labels).tobytes())
+    h = hashlib.sha256(np.ascontiguousarray(ds.images))
+    h.update(np.ascontiguousarray(ds.labels))
     return h.hexdigest()
 
 
@@ -126,7 +46,6 @@ def write_manifest(out_dir, command, values, datasets, start):
     leaves out out.dir, the directory the manifest sits in, so a rerun
     into another directory writes the same manifest."""
     end = _now(typed(values, "train.determinism"))
-    train, test = datasets
     outputs = []
     for root, _, files in os.walk(out_dir):
         for name in files:
@@ -136,15 +55,15 @@ def write_manifest(out_dir, command, values, datasets, start):
                 continue
             with open(path, "rb") as fh:
                 blob = fh.read()
-            outputs.append({"path": rel, "bytes": len(blob), "sha256": _sha256(blob)})
+            outputs.append({"path": rel, "bytes": len(blob),
+                            "sha256": hashlib.sha256(blob).hexdigest()})
     outputs.sort(key=lambda rec: rec["path"])
     manifest = {
         "command": command,
         "code_version": __version__,
         "config": config_lines({k: v for k, v in values.items() if k != "out.dir"}),
         "seed": typed(values, "train.seed"),
-        "dataset_fingerprints": {"train": dataset_fingerprint(train),
-                                 "test": dataset_fingerprint(test)},
+        "dataset_fingerprints": dict(zip(("train", "test"), map(dataset_fingerprint, datasets))),
         "start": start,
         "end": end,
         "outputs": outputs,
@@ -165,37 +84,31 @@ def _apply_common(args, values):
         values["train.seed"] = str(args.seed)
     if args.deterministic:
         values["train.determinism"] = "true"
-    if getattr(args, "mode", None) == "nn":
-        values["train.enable_reverse_loss"] = "false"
-        values["train.enable_generation"] = "false"
-    elif getattr(args, "mode", None) == "rn":
-        values["train.enable_reverse_loss"] = "true"
-        values["train.enable_generation"] = "true"
+    if getattr(args, "mode", None):
+        on = "true" if args.mode == "rn" else "false"
+        values["train.enable_reverse_loss"] = values["train.enable_generation"] = on
     return values
 
 
 def cmd_train(args, values, start):
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
-    cfg = train_config_from(values)
-    train, test, n_classes = resolve_dataset_pair(values)
-    rcfg = reverse_config_from(values)
-    spec = network_spec_from(values, train.images.shape[1:], n_classes)
+    cfg, rcfg = train_config_from(values), reverse_config_from(values)
+    ncfg, dcfg = settings_from(values, NetConfig), settings_from(values, DataConfig)
+    train, test = dcfg.load_pair()
+    spec = ncfg.spec(train.images.shape[1:], train.class_count)
     out_dir = typed(values, "out.dir")
-    os.makedirs(out_dir, exist_ok=True)
     summary = []
     for r in range(args.repeats):
         seed_r = cfg.seed + r
         cfg_r = replace(cfg, seed=seed_r)
         sub = out_dir if args.repeats == 1 else os.path.join(out_dir, f"run-{r:02d}")
         os.makedirs(sub, exist_ok=True)
-        net = spec.build(
-            np.random.default_rng(np.random.SeedSequence([seed_r, 1])), rcfg=rcfg
-        )
+        net = spec.build(np.random.default_rng(np.random.SeedSequence([seed_r, 1])), rcfg=rcfg)
         print(f"run {r}: seed {seed_r}, {len(train)} train / {len(test)} test samples")
         _, final = run_experiment(
             net, train.images, train.labels, test.images, test.labels,
-            n_classes, cfg_r, out_dir=sub, log=print, augment_fn=augment,
+            train.class_count, cfg_r, out_dir=sub, log=print, augment_fn=augment,
         )
         summary.append((seed_r, final[0], final[1]))
     if args.repeats > 1:
@@ -204,8 +117,7 @@ def cmd_train(args, values, start):
             w.writerow(["seed", "test_err", "test_loss"])
             for seed_r, err, loss in summary:
                 w.writerow([seed_r, f"{err:.4f}", f"{loss:.8g}"])
-            errs = [s[1] for s in summary]
-            w.writerow(["mean", f"{np.mean(errs):.4f}", ""])
+            w.writerow(["mean", f"{np.mean([s[1] for s in summary]):.4f}", ""])
     write_manifest(out_dir, "train", values, (train, test), start)
     for seed_r, err, loss in summary:
         print(f"seed {seed_r}: test_err {err:.4f}% test_loss {loss:.6g}")
@@ -213,38 +125,39 @@ def cmd_train(args, values, start):
 
 
 def _load_net_and_batch(args, values):
-    rcfg = reverse_config_from(values)
-    net, extra = load_checkpoint(args.checkpoint, rcfg=rcfg)
-    train, test, _ = resolve_dataset_pair(values)
-    ds = test if args.split == "test" else train
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    x = ds.images[:args.count]
+    rcfg, dcfg = reverse_config_from(values), settings_from(values, DataConfig)
+    net, _ = load_checkpoint(args.checkpoint, rcfg=rcfg)
+    train, test = dcfg.load_pair()
+    x = (test if args.split == "test" else train).images[:args.count]
     if x.shape[1:] != net.input_shape:
-        raise ConfigError(
-            f"dataset samples are {x.shape[1:]} but the checkpoint was trained "
-            f"on {net.input_shape}"
-        )
+        raise ConfigError(f"dataset samples are {x.shape[1:]} but the checkpoint was trained "
+                          f"on {net.input_shape}")
     return net, x, (train, test)
+
+
+def _save_grid(values, name, grid):
+    """Write grid to out.dir as name.ppm (color) or name.pgm; returns out.dir."""
+    out_dir = typed(values, "out.dir")
+    os.makedirs(out_dir, exist_ok=True)
+    save_image(os.path.join(out_dir, f"{name}.{'ppm' if grid.ndim == 3 else 'pgm'}"), grid)
+    return out_dir
 
 
 def cmd_reconstruct(args, values, start):
     net, x, datasets = _load_net_and_batch(args, values)
     o, _, trace = net.feed_forward(x)
     xbar = net.feed_backward(o, trace=trace)
-    out_dir = typed(values, "out.dir")
-    os.makedirs(out_dir, exist_ok=True)
-    grid = reconstruction_grid(x, xbar)
-    ext = "ppm" if grid.ndim == 3 else "pgm"
-    save_image(os.path.join(out_dir, f"reconstructions.{ext}"), grid)
+    out_dir = _save_grid(values, "reconstructions", reconstruction_grid(x, xbar))
     write_manifest(out_dir, "reconstruct", values, datasets, start)
     print(f"wrote reconstructions for {x.shape[0]} samples to {out_dir}")
     return 0
 
 
 def cmd_generate(args, values, start):
-    net, x, datasets = _load_net_and_batch(args, values)
     cfg = train_config_from(values)
+    net, x, datasets = _load_net_and_batch(args, values)
     o, _, trace = net.feed_forward(x)
     if args.bypass_transform:
         tr = o.copy()
@@ -254,11 +167,7 @@ def cmd_generate(args, values, start):
     alphabar = net.generate_latent(tr, trace=trace)
     xbar = net.reverse_from_latent(alphabar, trace=trace)
     ohat = net.one_step_forward(alphabar)
-    out_dir = typed(values, "out.dir")
-    os.makedirs(out_dir, exist_ok=True)
-    grid = generation_grid(x, o, tr, alphabar, xbar)
-    ext = "ppm" if grid.ndim == 3 else "pgm"
-    save_image(os.path.join(out_dir, f"generation.{ext}"), grid)
+    out_dir = _save_grid(values, "generation", generation_grid(x, o, tr, alphabar, xbar))
     with open(os.path.join(out_dir, "likelihoods.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         n = o.shape[1]
@@ -272,12 +181,13 @@ def cmd_generate(args, values, start):
 
 
 def cmd_compose(args, values, start):
-    source = resolve_raw_dataset(values, args.split)
+    dcfg = settings_from(values, DataConfig)
+    source = dcfg.load(args.split)
     seed = typed(values, "train.seed")
     profile = ImbalanceProfile.parse(args.profile, source.class_count, seed=seed)
     composed = compose_imbalanced(source, profile)
     out_dir = typed(values, "out.dir")
-    save_composed(out_dir, composed, profile, source_note=typed(values, "data.kind"))
+    save_composed(out_dir, composed, profile, source_note=dcfg.kind)
     counts = ",".join(str(v) for v in composed.class_counts())
     print(f"wrote {len(composed)} records to {out_dir} (per-class {counts})")
     return 0
@@ -331,6 +241,11 @@ def build_parser():
     return parser
 
 
+# (error type, exit code, message prefix); the first match wins
+EXIT_CODES = ((ConfigError, 2, "config error"), (DataError, 3, "data error"),
+              (NumericError, 4, "numeric error"), (RevnetError, 1, "error"))
+
+
 def main(argv=None):
     """Run one command on the loaded config and its start time; returns
     its exit code. Any thread cap the run sets (REVNET_THREADS,
@@ -343,18 +258,10 @@ def main(argv=None):
             if tensor.set_threads() is None and deterministic:
                 tensor.set_threads(1)
             return args.func(args, values, _now(deterministic))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
     except RevnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _, code, label = next(e for e in EXIT_CODES if isinstance(exc, e[0]))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

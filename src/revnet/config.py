@@ -5,13 +5,19 @@ blank lines are skipped. Later assignments win, which is also how CLI
 --override entries are merged. Every key must be known; unknown keys are
 a configuration error naming the key. Typed accessors convert values and
 report the offending key on failure.
+
+Every key but out.dir is a field of a settings dataclass (SECTIONS):
+TrainConfig, TransformConfig, NetConfig, ReverseConfig and DataConfig own
+the train., transform., net., net.reverse_ and data. keys, their defaults
+and the checks on their values. settings_from builds one from the values.
 """
 
 from dataclasses import MISSING, fields
 
+from .data import DataConfig
 from .errors import ConfigError
 from .layers import ReverseConfig
-from .network import ARCHITECTURES, NetworkSpec, TransformConfig
+from .network import NetConfig, TransformConfig
 from .training import TrainConfig
 
 
@@ -40,32 +46,21 @@ def _config_text(value):
     return str(value)
 
 
-def _field_keys(cls, prefix):
-    """One key per field of cls with a plain default, converted by the
-    default's type; fields with a default factory are not keys."""
-    return {
-        prefix + f.name: (_CONVERTERS[type(f.default)], _config_text(f.default))
-        for f in fields(cls) if f.default is not MISSING
-    }
+# The settings dataclasses and the prefix of their keys: each field with a
+# plain default is the key prefix + name, converted by the default's type.
+SECTIONS = {
+    TrainConfig: "train.",
+    TransformConfig: "transform.",
+    NetConfig: "net.",
+    ReverseConfig: "net.reverse_",
+    DataConfig: "data.",
+}
 
 
-# key -> (converter, default as written in config syntax). The train.,
-# transform. and net.reverse_ keys are the fields of TrainConfig,
-# TransformConfig and ReverseConfig, which own their defaults and checks.
+# key -> (converter, default as written in config syntax)
 KNOWN_KEYS = {
-    **_field_keys(TrainConfig, "train."),
-    **_field_keys(TransformConfig, "transform."),
-    "net.arch": (str, "baseline"),
-    "net.layers": (str, ""),
-    **_field_keys(ReverseConfig, "net.reverse_"),
-    "data.kind": (str, "synthetic"),
-    "data.root": (str, ""),
-    "data.normalize": (str, "divide_mean"),
-    "data.limit": (int, "0"),
-    "data.coarse": (_bool, "false"),
-    "data.n_per_class": (int, "200"),
-    "data.test_n_per_class": (int, "50"),
-    "data.noise": (float, "0.1"),
+    **{prefix + f.name: (_CONVERTERS[type(f.default)], _config_text(f.default))
+       for cls, prefix in SECTIONS.items() for f in fields(cls) if f.default is not MISSING},
     "out.dir": (str, "out"),
 }
 
@@ -115,31 +110,24 @@ def typed(values, key):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def _section(values, prefix):
-    """Typed values of every key under prefix, by field name."""
-    return {k[len(prefix):]: typed(values, k) for k in KNOWN_KEYS if k.startswith(prefix)}
+def settings_from(values, cls, **extra):
+    """cls built from the typed values of its keys; extra fills the fields
+    that are not keys."""
+    prefix = SECTIONS[cls]
+    return cls(**{f.name: typed(values, prefix + f.name)
+                  for f in fields(cls) if f.default is not MISSING}, **extra)
 
 
 def train_config_from(values):
-    transform = TransformConfig(**_section(values, "transform."))
-    return TrainConfig(transform=transform, **_section(values, "train."))
+    return settings_from(values, TrainConfig, transform=settings_from(values, TransformConfig))
 
 
 def reverse_config_from(values):
-    return ReverseConfig(**_section(values, "net.reverse_"))
+    return settings_from(values, ReverseConfig)
 
 
 def network_spec_from(values, input_shape, n_classes):
-    arch = typed(values, "net.arch")
-    if arch == "custom":
-        tokens = [t.strip() for t in typed(values, "net.layers").split(",") if t.strip()]
-        if not tokens:
-            raise ConfigError("net.arch=custom needs net.layers tokens")
-        return NetworkSpec(tuple(input_shape), n_classes, tokens)
-    if arch not in ARCHITECTURES:
-        known = "|".join(sorted(ARCHITECTURES) + ["custom"])
-        raise ConfigError(f"net.arch must be {known}, got {arch!r}")
-    return ARCHITECTURES[arch](input_shape, n_classes)
+    return settings_from(values, NetConfig).spec(input_shape, n_classes)
 
 
 def config_lines(values):

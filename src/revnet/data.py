@@ -5,7 +5,8 @@ files, CIFAR record files of label byte(s) + raw pixel bytes), channel
 normalization, crop/flip augmentation, and a class-imbalance composer
 that subsamples a source dataset to a per-class count profile. A small
 synthetic seven-segment digit generator provides a dependency-free
-stand-in dataset for desk-scale runs and tests.
+stand-in dataset for desk-scale runs and tests. DataConfig holds the
+data.* settings and loads the (train, test) pair they name.
 
 Loaders are pure functions of the file bytes. All randomness comes in
 through explicit numpy Generators.
@@ -52,40 +53,40 @@ class LabeledDataset:
 
 
 def _read_bytes(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """The file's bytes, gunzipped if gzip; DataError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
     return raw
 
 
-def _idx_header(raw, path, magic_want, ndim):
-    need = 4 * (1 + ndim)
-    if len(raw) < need:
+def _idx_payload(path, magic_want, ndim):
+    """The ndim sizes and the u8 payload of an IDX file with that magic."""
+    raw = _read_bytes(path)
+    off = 4 * (1 + ndim)
+    if len(raw) < off:
         raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    fields = struct.unpack(f">{1 + ndim}I", raw[:need])
-    if fields[0] != magic_want:
-        raise FormatError(f"{path}: bad magic 0x{fields[0]:08x}, want 0x{magic_want:08x}")
-    return fields[1:], need
+    magic, *dims = struct.unpack(f">{1 + ndim}I", raw[:off])
+    if magic != magic_want:
+        raise FormatError(f"{path}: bad magic 0x{magic:08x}, want 0x{magic_want:08x}")
+    count = int(np.prod(dims))
+    if len(raw) < off + count:
+        raise FormatError(f"{path}: truncated at byte {len(raw)}, want {off + count}")
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
 
 
 def load_idx_images(path):
-    raw = _read_bytes(path)
-    (n, h, w), off = _idx_header(raw, path, IDX_IMAGES_MAGIC, 3)
-    need = off + n * h * w
-    if len(raw) < need:
-        raise FormatError(f"{path}: truncated at byte {len(raw)}, want {need}")
-    pix = np.frombuffer(raw, dtype=np.uint8, count=n * h * w, offset=off)
+    (n, h, w), pix = _idx_payload(path, IDX_IMAGES_MAGIC, 3)
     return (pix.reshape(n, 1, h, w).astype(np.float32) / 255.0)
 
 
 def load_idx_labels(path):
-    raw = _read_bytes(path)
-    (n,), off = _idx_header(raw, path, IDX_LABELS_MAGIC, 1)
-    need = off + n
-    if len(raw) < need:
-        raise FormatError(f"{path}: truncated at byte {len(raw)}, want {need}")
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).astype(np.int64)
+    _, labels = _idx_payload(path, IDX_LABELS_MAGIC, 1)
+    return labels.astype(np.int64)
 
 
 def load_mnist_idx(images_path, labels_path, class_count=10):
@@ -124,29 +125,25 @@ MNIST_FILES = {
 def mnist_paths(root):
     """Locate the four standard MNIST files under root (plain or .gz).
     Raises DataError naming whatever is missing."""
-    found = {}
-    missing = []
+    found, missing = {}, []
     for key, names in MNIST_FILES.items():
-        for name in names:
-            for cand in (name, name + ".gz"):
-                p = os.path.join(root, cand)
-                if os.path.exists(p):
-                    found[key] = p
-                    break
-            if key in found:
-                break
-        if key not in found:
+        cands = [os.path.join(root, name + gz) for name in names for gz in ("", ".gz")]
+        found[key] = next((p for p in cands if os.path.exists(p)), None)
+        if found[key] is None:
             missing.append(names[0])
     if missing:
         raise DataError(f"MNIST files not found under {root}: {', '.join(missing)}")
     return found
 
 
-def load_mnist_dir(root):
+def load_mnist_split(root, split):
+    """The train or test split of the MNIST files under root."""
     paths = mnist_paths(root)
-    train = load_mnist_idx(paths["train_images"], paths["train_labels"])
-    test = load_mnist_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+    return load_mnist_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
+
+
+def load_mnist_dir(root):
+    return load_mnist_split(root, "train"), load_mnist_split(root, "test")
 
 
 # -- CIFAR-style records ----------------------------------------------------
@@ -176,9 +173,7 @@ def load_cifar_binary(paths, coarse=False, shape=(3, 32, 32), class_count=10,
         all_images.append(
             block[:, label_bytes:].reshape(n, c, h, w).astype(np.float32) / 255.0
         )
-    images = np.concatenate(all_images)
-    labels = np.concatenate(all_labels)
-    return LabeledDataset(images, labels, class_count)
+    return LabeledDataset(np.concatenate(all_images), np.concatenate(all_labels), class_count)
 
 
 def save_records(path, ds):
@@ -214,17 +209,19 @@ def save_composed(out_dir, ds, profile=None, source_note=""):
 
 
 def load_composed(out_dir):
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    shape = (manifest["channels"], manifest["height"], manifest["width"])
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        manifest = json.loads(_read_bytes(path))
+        shape = (manifest["channels"], manifest["height"], manifest["width"])
+        n, class_count = manifest["n"], manifest["class_count"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise FormatError(f"{path}: not a composed-dataset manifest ({exc!r})") from exc
     ds = load_cifar_binary(
         [os.path.join(out_dir, "records.bin")],
-        shape=shape, class_count=manifest["class_count"], label_bytes=1,
+        shape=shape, class_count=class_count, label_bytes=1,
     )
-    if len(ds) != manifest["n"]:
-        raise ConsistencyError(
-            f"{out_dir}: manifest says {manifest['n']} records, file has {len(ds)}"
-        )
+    if len(ds) != n:
+        raise ConsistencyError(f"{out_dir}: manifest says {n} records, file has {len(ds)}")
     return ds
 
 
@@ -382,3 +379,71 @@ def synthetic_digits(n_per_class, seed=0, size=28, noise=0.1, jitter=2):
             labels[i] = d
             i += 1
     return LabeledDataset(images, labels, 10)
+
+
+# -- settings ---------------------------------------------------------------
+
+SYNTH_TRAIN_SEED = 1001
+SYNTH_TEST_SEED = 2002
+KINDS = ("synthetic", "mnist", "cifar10", "cifar100", "composed")
+
+
+@dataclass
+class DataConfig:
+    """The dataset a run reads and how it is prepared. mnist without a root
+    reads $REVNET_MNIST_DIR, else data/mnist; the other file kinds need one.
+    limit keeps the first training samples (0: all); n_per_class,
+    test_n_per_class and noise shape the synthetic digits."""
+
+    kind: str = "synthetic"
+    root: str = ""
+    normalize: str = "divide_mean"
+    limit: int = 0
+    coarse: bool = False
+    n_per_class: int = 200
+    test_n_per_class: int = 50
+    noise: float = 0.1
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"data.kind must be {'|'.join(KINDS)}, got {self.kind!r}")
+        if not self.root and self.kind not in ("synthetic", "mnist"):
+            raise ConfigError(f"data.kind={self.kind} needs data.root")
+        modes = ("none", "divide_mean", "standardize")
+        if self.normalize not in modes:
+            raise ConfigError(f"data.normalize must be {'|'.join(modes)}, got {self.normalize!r}")
+        if self.limit < 0:
+            raise ConfigError("data.limit must be >= 0")
+        if self.n_per_class < 1 or self.test_n_per_class < 1:
+            raise ConfigError("data.n_per_class and data.test_n_per_class must be >= 1")
+        if self.noise < 0:
+            raise ConfigError("data.noise must be >= 0")
+
+    def load(self, split):
+        """One split ("train" or "test"), pixels in [0,1], not normalized."""
+        train = split == "train"
+        if self.kind == "synthetic":
+            n = self.n_per_class if train else self.test_n_per_class
+            seed = SYNTH_TRAIN_SEED if train else SYNTH_TEST_SEED
+            return synthetic_digits(n, seed=seed, noise=self.noise)
+        if self.kind == "mnist":
+            root = self.root or os.environ.get("REVNET_MNIST_DIR", "data/mnist")
+            return load_mnist_split(root, split)
+        if self.kind == "cifar10":
+            names = [f"data_batch_{i}.bin" for i in range(1, 6)] if train else ["test_batch.bin"]
+            return load_cifar_binary([os.path.join(self.root, n) for n in names], class_count=10)
+        if self.kind == "cifar100":
+            path = os.path.join(self.root, f"{split}.bin")
+            return load_cifar_binary([path], self.coarse, class_count=20 if self.coarse else 100)
+        return load_composed(os.path.join(self.root, split))
+
+    def load_pair(self):
+        """(train, test) with limit and normalization applied; the test split
+        is normalized with the training split's statistics."""
+        train, test = self.load("train"), self.load("test")
+        if self.limit:
+            train = train.take(np.arange(min(self.limit, len(train))))
+        if self.normalize != "none":
+            train, stats = normalize_channelwise(train, mode=self.normalize)
+            test, _ = normalize_channelwise(test, stats=stats, mode=self.normalize)
+        return train, test

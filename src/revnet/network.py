@@ -421,3 +421,27 @@ def small_cnn_spec(input_shape, n_classes):
 
 
 ARCHITECTURES = {"baseline": baseline_spec, "small": small_cnn_spec}
+
+
+@dataclass
+class NetConfig:
+    """The architecture a run builds: a name in ARCHITECTURES, or custom
+    with layers holding comma-separated NetworkSpec tokens."""
+
+    arch: str = "baseline"
+    layers: str = ""
+
+    def __post_init__(self):
+        if self.arch == "custom" and not self.tokens():
+            raise ConfigError("net.arch=custom needs net.layers tokens")
+        if self.arch != "custom" and self.arch not in ARCHITECTURES:
+            known = "|".join(sorted(ARCHITECTURES) + ["custom"])
+            raise ConfigError(f"net.arch must be {known}, got {self.arch!r}")
+
+    def tokens(self):
+        return [t.strip() for t in self.layers.split(",") if t.strip()]
+
+    def spec(self, input_shape, n_classes):
+        if self.arch == "custom":
+            return NetworkSpec(tuple(input_shape), n_classes, self.tokens())
+        return ARCHITECTURES[self.arch](input_shape, n_classes)

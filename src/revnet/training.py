@@ -71,6 +71,10 @@ class TrainConfig:
             raise ConfigError("lr0 must be positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0,1)")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.lr_drop_factor <= 0:
+            raise ConfigError("lr_drop_factor must be positive")
         if self.train_batch < 1 or self.eval_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
         drops = tuple(self.lr_drop_epochs)
@@ -299,6 +303,8 @@ def run_experiment(net, train_images, train_labels, test_images, test_labels,
     and checkpoint files; log, when given, gets one text line per epoch;
     epoch_hook(epoch, net), when given, runs after each epoch's evaluation.
     """
+    if train_images.shape[0] == 0:
+        raise ConfigError("cannot train on an empty dataset")
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, transform_rng, augment_rng = (
         np.random.default_rng(s) for s in ss.spawn(3)

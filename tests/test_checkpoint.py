@@ -147,3 +147,38 @@ class TestCorruption:
         repack(path, mutate)
         with pytest.raises(StateError, match="shape"):
             load_checkpoint(path)
+
+
+def replace_header(path, blob):
+    """Rewrite a checkpoint's header with raw bytes, keeping the buffers."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[10 + hlen:])
+
+
+class TestCorruptHeader:
+    """A header that cannot describe a checkpoint is a FormatError, which
+    the CLI reports as a data error (exit 3)."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net())
+        return path
+
+    def test_undecodable_json(self, path):
+        replace_header(path, b'{"version": 1, "dtype": ')
+        with pytest.raises(FormatError, match="not JSON"):
+            load_checkpoint(path)
+
+    def test_header_not_an_object(self, path):
+        replace_header(path, b"[1, 2, 3]")
+        with pytest.raises(FormatError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_unsupported_dtype(self, path):
+        repack(path, lambda h: h.update(dtype="float16"))
+        with pytest.raises(FormatError, match="dtype 'float16'"):
+            load_checkpoint(path)
+        with pytest.raises(FormatError, match="dtype"):
+            read_header(path)

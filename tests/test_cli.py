@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import revnet
-from revnet import cli, tensor
+from revnet import tensor
 from revnet.cli import main
-from revnet.data import load_composed, write_idx_images, write_idx_labels
+from revnet.data import DataConfig, load_composed, write_idx_images, write_idx_labels
 
 FAST = [
     "--override", "data.n_per_class=6",
@@ -132,13 +132,13 @@ class TestTrain:
         if api is not None:
             api[0](min(2, api[2]))  # so the cap to one is visible where the BLAS allows
         during = []
-        resolve = cli.resolve_dataset_pair
+        load_pair = DataConfig.load_pair
 
-        def spy(values):
+        def spy(dcfg):
             during.append((tensor._THREAD_BUDGET, tensor.blas_threads(), tensor._conv_workers()))
-            return resolve(values)
+            return load_pair(dcfg)
 
-        monkeypatch.setattr(cli, "resolve_dataset_pair", spy)
+        monkeypatch.setattr(DataConfig, "load_pair", spy)
         extra = ["--deterministic"]
         if fails:
             os.makedirs(tmp_path / "empty")
@@ -198,6 +198,56 @@ class TestTrain:
         os.makedirs(tmp_path / "empty")
         assert main(args) == 3
         assert "data error" in capsys.readouterr().err
+
+
+class TestSettingsCheckedFirst:
+    """Each command builds its settings before it reads a file, so a bad
+    value exits 2 before any data is loaded or step trained."""
+
+    @pytest.mark.parametrize("override, names", [
+        ("data.limit=-3", "data.limit"),
+        ("data.n_per_class=0", "data.n_per_class"),
+        ("data.test_n_per_class=0", "data.test_n_per_class"),
+        ("data.noise=-1", "data.noise"),
+        ("data.kind=bogus", "data.kind"),
+        ("data.normalize=bogus", "data.normalize"),
+        ("net.arch=bogus", "net.arch"),
+        ("net.layers=", "net.layers"),
+        ("train.epochs=0", "epochs"),
+        ("train.lr_drop_factor=-0.1", "lr_drop_factor"),
+    ])
+    def test_bad_setting_exits_before_loading(self, tmp_path, capsys, monkeypatch,
+                                              override, names):
+        def load(dcfg, split):
+            raise AssertionError("dataset loaded before the settings were checked")
+
+        monkeypatch.setattr(DataConfig, "load", load)
+        out = tmp_path / "x"
+        assert main(train_cmd(out, ["--override", override])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and names in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["cifar10", "cifar100", "composed"])
+    def test_missing_files_exit_3(self, tmp_path, capsys, kind):
+        os.makedirs(tmp_path / "root" / "train")  # a composed split without manifest.json
+        args = train_cmd(tmp_path / "x", ["--override", f"data.kind={kind}",
+                                          "--override", f"data.root={tmp_path / 'root'}"])
+        assert main(args) == 3
+        assert "data error: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_training_records_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "cifar"
+        os.makedirs(root)
+        for i in range(1, 6):
+            (root / f"data_batch_{i}.bin").write_bytes(b"")
+        (root / "test_batch.bin").write_bytes(bytes(2 * (1 + 3 * 32 * 32)))
+        out = tmp_path / "x"
+        args = train_cmd(out, ["--override", "data.kind=cifar10", "--override", f"data.root={root}"])
+        assert main(args) == 2
+        assert "empty dataset" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestMnistEnv:
@@ -275,6 +325,17 @@ class TestReconstructAndGenerate:
         args = ["reconstruct", "--checkpoint", checkpoint, "--count", "0",
                 "--out", str(tmp_path / "x")] + FAST
         assert main(args) == 2
+
+    @pytest.mark.parametrize("command", ["reconstruct", "generate"])
+    @pytest.mark.parametrize("header", [b'{"version": 1', b"[1]", b'{"version": 1, "dtype": "float16"}'])
+    def test_corrupt_checkpoint_header_exits_3(self, tmp_path, checkpoint, capsys, command, header):
+        raw = open(checkpoint, "rb").read()
+        hlen = int.from_bytes(raw[6:10], "little")
+        bad = tmp_path / "bad.rvnt"
+        bad.write_bytes(raw[:6] + len(header).to_bytes(4, "little") + header + raw[10 + hlen:])
+        args = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "x")] + FAST
+        assert main(args) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_shape_mismatch_reported(self, tmp_path, checkpoint, monkeypatch, capsys):
         # checkpoint was trained on 28px synthetic digits; 4px images

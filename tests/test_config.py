@@ -7,17 +7,20 @@ import pytest
 
 from revnet.config import (
     KNOWN_KEYS,
+    SECTIONS,
     config_lines,
     load_config,
     network_spec_from,
     parse_config_text,
     reverse_config_from,
+    settings_from,
     train_config_from,
     typed,
 )
+from revnet.data import DataConfig
 from revnet.errors import ConfigError
 from revnet.layers import ReverseConfig
-from revnet.network import TransformConfig
+from revnet.network import NetConfig, TransformConfig
 from revnet.training import TrainConfig
 
 
@@ -159,32 +162,64 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="net.arch"):
             network_spec_from(values, (16,), 10)
 
+    @pytest.mark.parametrize("layers", ["", " , ,"])
+    def test_net_config_checks_itself(self, layers):
+        with pytest.raises(ConfigError, match="net.layers"):
+            NetConfig(arch="custom", layers=layers)
+        with pytest.raises(ConfigError, match="net.arch must be baseline|small|custom"):
+            NetConfig(arch="resnet")
+
+    def test_data_config_from_values(self):
+        values = load_config(overrides=["data.kind=mnist", "data.limit=7", "data.coarse=yes"])
+        dcfg = settings_from(values, DataConfig)
+        assert (dcfg.kind, dcfg.limit, dcfg.coarse) == ("mnist", 7, True)
+
 
 class TestOneOwner:
-    """The train., transform. and net.reverse_ keys, with their defaults,
-    come from the settings dataclasses."""
+    """Every key but out.dir, with its default, comes from a settings
+    dataclass."""
 
     def test_default_config_builds_default_settings(self):
         values = load_config()
         assert train_config_from(values) == TrainConfig()
         assert reverse_config_from(values) == ReverseConfig()
+        for cls in (TransformConfig, NetConfig, DataConfig):
+            assert settings_from(values, cls) == cls()
 
     def test_every_plain_field_has_a_key(self):
-        for cls, prefix in ((TrainConfig, "train."), (TransformConfig, "transform."),
-                            (ReverseConfig, "net.reverse_")):
+        for cls, prefix in SECTIONS.items():
             for f in fields(cls):
                 if f.default is not MISSING:
                     assert prefix + f.name in KNOWN_KEYS
 
-    def test_only_net_data_and_out_keys_are_literal(self):
-        literal = {k for k in KNOWN_KEYS
-                   if not k.startswith(("train.", "transform.", "net.reverse_"))}
-        assert literal == {
-            "net.arch", "net.layers", "out.dir", "data.kind", "data.root",
-            "data.normalize", "data.limit", "data.coarse", "data.n_per_class",
-            "data.test_n_per_class", "data.noise",
-        }
+    def test_only_out_dir_is_literal(self):
+        owned = {prefix + f.name for cls, prefix in SECTIONS.items()
+                 for f in fields(cls) if f.default is not MISSING}
+        assert set(KNOWN_KEYS) - owned == {"out.dir"}
         assert len(KNOWN_KEYS) == 37
+
+    def test_net_and_data_keys_keep_their_converters_and_defaults(self):
+        # the table these keys had when config.py listed them itself
+        bool_conv = KNOWN_KEYS["train.augment"][0]
+        assert {k: v for k, v in KNOWN_KEYS.items()
+                if k.startswith("data.") or k in ("net.arch", "net.layers")} == {
+            "net.arch": (str, "baseline"),
+            "net.layers": (str, ""),
+            "data.kind": (str, "synthetic"),
+            "data.root": (str, ""),
+            "data.normalize": (str, "divide_mean"),
+            "data.limit": (int, "0"),
+            "data.coarse": (bool_conv, "false"),
+            "data.n_per_class": (int, "200"),
+            "data.test_n_per_class": (int, "50"),
+            "data.noise": (float, "0.1"),
+        }
+
+    def test_net_section_is_not_a_prefix_scan(self):
+        # net.reverse_ keys share the net. prefix but belong to ReverseConfig
+        values = load_config(overrides=["net.reverse_pool=unpool"])
+        assert settings_from(values, NetConfig) == NetConfig()
+        assert reverse_config_from(values).pool == "unpool"
 
     def test_defaults_written_as_config_text(self):
         values = load_config()
@@ -192,6 +227,7 @@ class TestOneOwner:
         assert values["train.enable_reverse_loss"] == "true"
         assert values["train.determinism"] == "false"
         assert values["net.reverse_pool"] == "upsample"
+        assert values["data.coarse"] == "false"
 
 
 class TestSnapshot:

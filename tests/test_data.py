@@ -8,7 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from revnet import data
 from revnet.data import (
+    SYNTH_TEST_SEED,
+    SYNTH_TRAIN_SEED,
+    DataConfig,
     ImbalanceProfile,
     LabeledDataset,
     augment,
@@ -232,6 +236,18 @@ class TestComposedDir:
         want = np.clip(np.rint(ds.images * 255.0), 0, 255) / 255.0
         assert np.allclose(back.images, want, atol=1e-7)
 
+    def test_missing_manifest_is_data_error(self, tmp_path):
+        os.makedirs(tmp_path / "d")
+        with pytest.raises(DataError, match="manifest.json"):
+            load_composed(tmp_path / "d")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"n": 6}'])
+    def test_unparsable_manifest_is_format_error(self, tmp_path, text):
+        save_composed(tmp_path / "d", tiny_dataset(n=6, classes=4))
+        (tmp_path / "d" / "manifest.json").write_text(text)
+        with pytest.raises(FormatError, match="not a composed-dataset manifest"):
+            load_composed(tmp_path / "d")
+
     def test_manifest_mismatch_caught(self, tmp_path):
         ds = tiny_dataset(n=6, classes=4)
         save_composed(tmp_path / "d", ds)
@@ -423,3 +439,75 @@ class TestSyntheticDigits:
         for a in range(10):
             for b in range(a + 1, 10):
                 assert not np.array_equal(ds.images[a], ds.images[b])
+
+
+class TestDataConfig:
+    """The data.* settings: checked when built, before any file is read."""
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "bogus"}, "data.kind must be"),
+        ({"kind": "cifar10"}, "data.kind=cifar10 needs data.root"),
+        ({"kind": "composed"}, "needs data.root"),
+        ({"normalize": "zscore"}, "data.normalize"),
+        ({"limit": -3}, "data.limit"),
+        ({"n_per_class": 0}, "data.n_per_class"),
+        ({"test_n_per_class": 0}, "data.test_n_per_class"),
+        ({"noise": -1.0}, "data.noise"),
+    ])
+    def test_rejects_bad_values(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            DataConfig(**kwargs)
+
+    def test_synthetic_splits_use_fixed_seeds(self):
+        train, test = DataConfig(n_per_class=3, test_n_per_class=2, normalize="none").load_pair()
+        assert np.array_equal(train.images, synthetic_digits(3, seed=SYNTH_TRAIN_SEED).images)
+        assert np.array_equal(test.images, synthetic_digits(2, seed=SYNTH_TEST_SEED).images)
+
+    def test_limit_then_train_statistics_for_both_splits(self):
+        dcfg = DataConfig(n_per_class=3, test_n_per_class=2, limit=7, normalize="standardize")
+        train, test = dcfg.load_pair()
+        raw_train = DataConfig(n_per_class=3).load("train").take(np.arange(7))
+        want_train, stats = normalize_channelwise(raw_train, mode="standardize")
+        want_test, _ = normalize_channelwise(dcfg.load("test"), stats=stats, mode="standardize")
+        assert np.array_equal(train.images, want_train.images)
+        assert np.array_equal(test.images, want_test.images)
+
+    def write_mnist(self, root):
+        rng = np.random.default_rng(0)
+        for prefix, n in (("train", 5), ("t10k", 3)):
+            write_idx_images(root / f"{prefix}-images-idx3-ubyte",
+                             rng.integers(0, 256, (n, 4, 4), dtype=np.uint8))
+            write_idx_labels(root / f"{prefix}-labels-idx1-ubyte",
+                             rng.integers(0, 10, n).astype(np.uint8))
+
+    def test_mnist_pair_reads_each_file_once(self, tmp_path, monkeypatch):
+        self.write_mnist(tmp_path)
+        calls, reads = [], []
+        load_idx, read = data.load_mnist_idx, data._read_bytes
+
+        def spy_load(*args, **kwargs):
+            calls.append(args)
+            return load_idx(*args, **kwargs)
+
+        def spy_read(path):
+            reads.append(os.path.basename(path))
+            return read(path)
+
+        monkeypatch.setattr(data, "load_mnist_idx", spy_load)
+        monkeypatch.setattr(data, "_read_bytes", spy_read)
+        train, test = DataConfig(kind="mnist", root=str(tmp_path), normalize="none").load_pair()
+        assert (len(train), len(test)) == (5, 3)
+        assert len(calls) == 2
+        assert sorted(reads) == sorted(n for names in data.MNIST_FILES.values() for n in names[:1])
+
+    def test_mnist_root_from_environment(self, tmp_path, monkeypatch):
+        self.write_mnist(tmp_path)
+        monkeypatch.setenv("REVNET_MNIST_DIR", str(tmp_path))
+        assert len(DataConfig(kind="mnist").load("test")) == 3
+
+    @pytest.mark.parametrize("kind, name", [
+        ("cifar10", "data_batch_1.bin"), ("cifar100", "train.bin"), ("composed", "manifest.json"),
+    ])
+    def test_missing_files_are_data_errors(self, tmp_path, kind, name):
+        with pytest.raises(DataError, match=f"cannot read .*{name}"):
+            DataConfig(kind=kind, root=str(tmp_path)).load("train")

@@ -67,6 +67,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(gen_target="argmax")
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_rejects_no_epochs(self, epochs):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5])
+    def test_rejects_non_positive_drop_factor(self, factor):
+        # a negative factor would make the rate negative after the first drop
+        with pytest.raises(ConfigError, match="lr_drop_factor"):
+            TrainConfig(lr_drop_factor=factor)
+
 
 class TestLrSchedule:
     def test_default_steps(self):
@@ -704,6 +715,15 @@ class TestRunExperiment:
             else:
                 assert row.test_err is None
         assert final_eval[0] == rows[-1].test_err
+
+    def test_empty_training_set_rejected(self, tmp_path):
+        # e.g. an empty record file, which no setting check can see
+        net = mlp(n_in=4, hidden=4, n_classes=3)
+        x, y = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        with pytest.raises(ConfigError, match="empty"):
+            run_experiment(net, x, y, np.zeros((2, 4)), np.zeros(2, dtype=np.int64), 3,
+                           TrainConfig(), out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
 
     def test_metrics_csv_contents(self, tmp_path):
         cfg = TrainConfig(epochs=2, train_batch=32, lr_drop_epochs=(1,),
