@@ -8,10 +8,12 @@ network without outside information.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
 
+from .data import read_file
 from .errors import FormatError, StateError
 from .network import NetworkSpec
 
@@ -51,21 +53,19 @@ def save_checkpoint(path, net, extra=None):
     return path
 
 
-def _read_header(path):
-    """Returns (header dict, byte offset of the first parameter buffer)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-        raw = fh.read(4)
-        if len(raw) < 4:
-            raise FormatError(f"{path}: truncated at byte {len(MAGIC)}")
-        (hlen,) = struct.unpack("<I", raw)
-        blob = fh.read(hlen)
-        if len(blob) < hlen:
-            raise FormatError(f"{path}: truncated header at byte {len(MAGIC) + 4}")
+def _parse_header(path, raw):
+    """Returns (header dict, byte offset of the first parameter buffer)
+    of the checkpoint bytes raw read from path."""
+    if raw[:len(MAGIC)] != MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+    start = len(MAGIC) + 4
+    if len(raw) < start:
+        raise FormatError(f"{path}: truncated at byte {len(MAGIC)}")
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    if len(raw) < start + hlen:
+        raise FormatError(f"{path}: truncated header at byte {start}")
     try:
-        header = json.loads(blob)
+        header = json.loads(raw[start:start + hlen])
     except ValueError as exc:
         raise FormatError(f"{path}: header is not JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -74,35 +74,41 @@ def _read_header(path):
         raise StateError(f"{path}: unsupported checkpoint version {header.get('version')}")
     if header.get("dtype") not in _DTYPES:
         raise FormatError(f"{path}: unsupported parameter dtype {header.get('dtype')!r}")
-    return header, len(MAGIC) + 4 + hlen
+    return header, start + hlen
 
 
 def read_header(path):
-    return _read_header(path)[0]
+    return _parse_header(path, read_file(path))[0]
 
 
 def load_checkpoint(path, rcfg=None):
-    """Rebuilds the network and returns (net, extra_metadata)."""
-    header, offset = _read_header(path)
+    """Rebuilds the network and returns (net, extra_metadata). The file is
+    read once, and each parameter is a copy of its slice of those bytes."""
+    raw = read_file(path)
+    header, offset = _parse_header(path, raw)
     dtype = _DTYPES[header["dtype"]]
     spec = NetworkSpec(tuple(header["input_shape"]), header["n_classes"], header["tokens"])
-    net = spec.build(np.random.default_rng(0), dtype=dtype.type, rcfg=rcfg)
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for rec in header["params"]:
-            layer = net.layers[rec["layer"]]
-            shape = tuple(rec["shape"])
-            current = getattr(layer, rec["name"])
-            if current.shape != shape:
-                raise StateError(
-                    f"{path}: parameter {rec['name']} of layer {rec['layer']} has shape "
-                    f"{shape} but the architecture implies {current.shape}"
-                )
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) < count * dtype.itemsize:
-                raise FormatError(f"{path}: truncated at byte {offset}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(net.dtype, copy=True)
-            setattr(layer, rec["name"], arr)
-            offset += count * dtype.itemsize
+    net = spec.build(rcfg=rcfg)
+    net.dtype = dtype.type
+    want = {(i, name): shape for i, layer in enumerate(net.layers) if layer.has_params
+            for name, shape in layer.param_shapes().items()}
+    for rec in header["params"]:
+        i, name, shape = rec["layer"], rec["name"], tuple(rec["shape"])
+        implied = want.pop((i, name), None)
+        if implied is None:
+            raise FormatError(f"{path}: layer {i} has no parameter {name} to load")
+        if implied != shape:
+            raise StateError(
+                f"{path}: parameter {name} of layer {i} has shape "
+                f"{shape} but the architecture implies {implied}"
+            )
+        count = math.prod(shape)
+        if len(raw) < offset + count * dtype.itemsize:
+            raise FormatError(f"{path}: truncated at byte {offset}")
+        arr = np.frombuffer(raw, dtype, count, offset).reshape(shape).astype(net.dtype)
+        setattr(net.layers[i], name, arr)
+        offset += count * dtype.itemsize
+    if want:
+        missing = ", ".join(f"{name} of layer {i}" for i, name in sorted(want))
+        raise FormatError(f"{path}: no stored values for {missing}")
     return net, header.get("extra", {})

@@ -16,9 +16,11 @@ import gzip
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, ConfigError, ConsistencyError, DataError, DomainError, FormatError
 
@@ -52,15 +54,23 @@ class LabeledDataset:
         return LabeledDataset(self.images[indices], self.labels[indices], self.class_count)
 
 
-def _read_bytes(path):
-    """The file's bytes, gunzipped if gzip; DataError if it cannot be read."""
+def read_file(path):
+    """The file's bytes; DataError if it cannot be read."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_bytes(path):
+    """The file's bytes, gunzipped if gzip; FormatError if the gzip is bad."""
+    raw = read_file(path)
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FormatError(f"{path}: not a valid gzip file ({exc})") from exc
     return raw
 
 
@@ -247,7 +257,7 @@ def normalize_channelwise(ds, stats=None, mode="divide_mean"):
         if np.any(std <= 0):
             raise DomainError(f"channel std must be positive, got {std}")
         images = (ds.images - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
-    out = LabeledDataset(images.astype(np.float32), ds.labels, ds.class_count)
+    out = LabeledDataset(images.astype(np.float32, copy=False), ds.labels, ds.class_count)
     return out, stats
 
 
@@ -358,26 +368,52 @@ def _digit_template(d, size=28):
     return img
 
 
+# synthetic_digits keeps at most this many float64 noise values (64 KB)
+# alive, one block of images
+_NOISE_BLOCK = 8192
+
+
 def synthetic_digits(n_per_class, seed=0, size=28, noise=0.1, jitter=2):
     """Seven-segment digit images with per-sample jitter and pixel noise.
-    Returns a LabeledDataset with 10 classes, images [n,1,size,size]."""
+    Returns a LabeledDataset with 10 classes, images [n,1,size,size].
+
+    The draws fix the bytes for a seed. Images come in class order
+    (n_per_class of digit 0, then of digit 1, ...), and each image draws
+    one jitter pair (dy, dx) = rng.integers(-jitter, jitter + 1, size=2)
+    if jitter, then one noise field z of size*size standard normals if
+    noise. The image is its template rolled by dy rows and dx columns,
+    plus float32(noise * z), clipped to [0, 1]. Only the draws run per
+    image; the roll, the noise, the add and the clip run per block.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    templates = [_digit_template(d, size) for d in range(10)]
+    templates = np.stack([_digit_template(d, size) for d in range(10)])
     n = 10 * n_per_class
-    images = np.zeros((n, 1, size, size), dtype=np.float32)
-    labels = np.zeros(n, dtype=np.int64)
-    i = 0
-    for d in range(10):
-        for _ in range(n_per_class):
-            img = templates[d]
+    labels = np.repeat(np.arange(10, dtype=np.int64), n_per_class)
+    images = np.empty((n, 1, size, size), dtype=np.float32)
+    # window (a, b) of the 2x2-tiled templates is t rolled by (-a, -b):
+    # its [r, c] is t[(r + a) % size, (c + b) % size]
+    windows = sliding_window_view(np.tile(templates, (1, 2, 2)), (size, size), axis=(1, 2))
+    block = max(1, min(n, _NOISE_BLOCK // (size * size)))
+    shifts = np.zeros((block, 2), dtype=np.int64)
+    z = np.empty((block, size, size)) if noise else None
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        for j in range(m):
             if jitter:
-                dy, dx = rng.integers(-jitter, jitter + 1, size=2)
-                img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
+                shifts[j] = rng.integers(-jitter, jitter + 1, size=2)
             if noise:
-                img = img + rng.normal(0.0, noise, size=img.shape).astype(np.float32)
-            images[i, 0] = np.clip(img, 0.0, 1.0)
-            labels[i] = d
-            i += 1
+                rng.standard_normal(out=z[j])
+        start = -shifts[:m] % size
+        out = images[lo:lo + m, 0]
+        out[...] = windows[labels[lo:lo + m], start[:, 0], start[:, 1]]
+        if noise:
+            # Generator.normal returns 0.0 + noise * z, which differs from
+            # noise * z only in the sign of a zero; adding the template's
+            # pixels (all >= 0) drops that sign
+            zm = z[:m]
+            zm *= noise
+            out += zm.astype(np.float32)
+            np.clip(out, 0.0, 1.0, out=out)
     return LabeledDataset(images, labels, 10)
 
 
@@ -441,6 +477,8 @@ class DataConfig:
         """(train, test) with limit and normalization applied; the test split
         is normalized with the training split's statistics."""
         train, test = self.load("train"), self.load("test")
+        if not len(train):
+            raise ConfigError(f"data.kind={self.kind}: the training split is an empty dataset")
         if self.limit:
             train = train.take(np.arange(min(self.limit, len(train))))
         if self.normalize != "none":

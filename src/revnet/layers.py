@@ -138,8 +138,13 @@ class Dense(Layer):
 
     def init_params(self, rng, dtype=tensor.SINGLE):
         std = np.sqrt(2.0 / self.in_features)
-        self.W = tensor.gaussian_fill((self.in_features, self.out_features), rng, 0.0, std, dtype)
-        self.b = np.zeros(self.out_features, dtype=dtype)
+        shapes = self.param_shapes()
+        self.W = tensor.gaussian_fill(shapes["W"], rng, 0.0, std, dtype)
+        self.b = np.zeros(shapes["b"], dtype=dtype)
+
+    def param_shapes(self):
+        """{name: shape} of the parameters init_params makes."""
+        return {"W": (self.in_features, self.out_features), "b": (self.out_features,)}
 
     def token(self):
         return f"dense:{self.out_features}"
@@ -213,8 +218,13 @@ class Conv(Layer):
     def init_params(self, rng, dtype=tensor.SINGLE):
         fan_in = self.c_in * self.k * self.k
         std = np.sqrt(2.0 / fan_in)
-        self.W = tensor.gaussian_fill((self.c_out, self.c_in, self.k, self.k), rng, 0.0, std, dtype)
-        self.b = np.zeros(self.c_out, dtype=dtype)
+        shapes = self.param_shapes()
+        self.W = tensor.gaussian_fill(shapes["W"], rng, 0.0, std, dtype)
+        self.b = np.zeros(shapes["b"], dtype=dtype)
+
+    def param_shapes(self):
+        """{name: shape} of the parameters init_params makes."""
+        return {"W": (self.c_out, self.c_in, self.k, self.k), "b": (self.c_out,)}
 
     def token(self):
         return f"conv:{self.c_out}:{self.k}:{self.stride}:{self.pad}"

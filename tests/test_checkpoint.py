@@ -1,15 +1,17 @@
 """Checkpoint save/load: bit-exact round-trips and corruption handling."""
 
+import builtins
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from revnet.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
-from revnet.errors import FormatError, StateError
-from revnet.layers import Conv, LeakyRelu, ReverseConfig
-from revnet.network import NetworkSpec
+from revnet.errors import DataError, FormatError, StateError
+from revnet.layers import Conv, Dense, LeakyRelu, ReverseConfig
+from revnet.network import NetworkSpec, ReversibleNetwork
 
 
 def build_net(dtype=np.float32, seed=3):
@@ -89,6 +91,42 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestOneRead:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_opens_once_and_draws_no_weights(self, tmp_path, monkeypatch, dtype):
+        net = build_net(dtype=dtype)
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, net)
+        opened, inits = [], []
+        real_open = builtins.open
+
+        def spy_open(file, *args, **kwargs):
+            if os.fspath(file) == os.fspath(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        def spy_init(self, *args, **kwargs):
+            inits.append(type(self).__name__)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        for cls in (ReversibleNetwork, Conv, Dense):
+            monkeypatch.setattr(cls, "init_params", spy_init)
+        loaded, _ = load_checkpoint(path)
+        assert len(opened) == 1 and inits == []
+        assert loaded.dtype is dtype
+        for a, b in zip(net.param_layers(), loaded.param_layers()):
+            for name in ("W", "b"):
+                got = getattr(b, name)
+                assert got.dtype == dtype and got.flags.writeable and got.flags.aligned
+                assert np.array_equal(getattr(a, name), got)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        path = tmp_path / "nope.rvnt"
+        for read in (load_checkpoint, read_header):
+            with pytest.raises(DataError, match="cannot read .*nope.rvnt"):
+                read(path)
+
+
 class TestHeader:
     def test_fields(self, tmp_path):
         net = build_net()
@@ -146,6 +184,20 @@ class TestCorruption:
 
         repack(path, mutate)
         with pytest.raises(StateError, match="shape"):
+            load_checkpoint(path)
+
+    def test_parameter_the_layer_lacks(self, tmp_path):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net())
+        repack(path, lambda h: h["params"][0].update(layer=1))
+        with pytest.raises(FormatError, match="layer 1 has no parameter W"):
+            load_checkpoint(path)
+
+    def test_parameter_left_out(self, tmp_path):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net())
+        repack(path, lambda h: h["params"].pop())
+        with pytest.raises(FormatError, match="no stored values for b of layer 4"):
             load_checkpoint(path)
 
 

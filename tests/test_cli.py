@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -238,16 +239,36 @@ class TestSettingsCheckedFirst:
         assert not (tmp_path / "x").exists()
 
     def test_empty_training_records_exit_2(self, tmp_path, capsys):
+        # the default normalization would warn on an empty split; the
+        # loader stops before it
         root = tmp_path / "cifar"
         os.makedirs(root)
         for i in range(1, 6):
             (root / f"data_batch_{i}.bin").write_bytes(b"")
         (root / "test_batch.bin").write_bytes(bytes(2 * (1 + 3 * 32 * 32)))
         out = tmp_path / "x"
-        args = train_cmd(out, ["--override", "data.kind=cifar10", "--override", f"data.root={root}"])
-        assert main(args) == 2
-        assert "empty dataset" in capsys.readouterr().err
-        assert not (out / "metrics.csv").exists()
+        args = train_cmd(out, ["--override", "data.kind=cifar10", "--override", f"data.root={root}",
+                               "--override", "data.normalize=divide_mean"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        cap = capsys.readouterr()
+        assert cap.err == "config error: data.kind=cifar10: the training split is an empty dataset\n"
+        assert cap.out == ""
+        assert not out.exists()
+
+    def test_corrupt_gzip_exits_3(self, tmp_path, capsys):
+        root = tmp_path / "mnist"
+        TestMnistEnv().write_mnist(root)
+        os.remove(root / "train-images-idx3-ubyte")
+        (root / "train-images-idx3-ubyte.gz").write_bytes(b"\x1f\x8bjunk")
+        out = tmp_path / "x"
+        args = train_cmd(out, ["--override", "data.kind=mnist", "--override", f"data.root={root}"])
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "not a valid gzip file" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestMnistEnv:
@@ -336,6 +357,15 @@ class TestReconstructAndGenerate:
         args = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "x")] + FAST
         assert main(args) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "generate"])
+    def test_missing_checkpoint_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "nope.rvnt"
+        args = [command, "--checkpoint", str(path), "--out", str(tmp_path / "x")] + FAST
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot read {path}: No such file or directory\n"
+        assert not (tmp_path / "x").exists()
 
     def test_shape_mismatch_reported(self, tmp_path, checkpoint, monkeypatch, capsys):
         # checkpoint was trained on 28px synthetic digits; 4px images

@@ -2,12 +2,15 @@
 composition, and the synthetic digit generator."""
 
 import gzip
+import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from reference_digits import synthetic_digits as reference_digits
 from revnet import data
 from revnet.data import (
     SYNTH_TEST_SEED,
@@ -121,6 +124,17 @@ class TestIdxRoundTrip:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(FormatError, match=f"byte {len(raw) - 5}"):
+            load_idx_images(path)
+
+    # gzip.decompress raises EOFError, zlib.error and BadGzipFile on these
+    @pytest.mark.parametrize("what", ["magic only", "bad deflate block", "bad method"])
+    def test_bad_gzip_is_format_error(self, tmp_path, what):
+        whole = gzip.compress(bytes(100))
+        raw = {"magic only": b"\x1f\x8bjunk", "bad deflate block": whole[:10] + b"\xff" * 20,
+               "bad method": whole[:2] + b"\x09" + whole[3:]}[what]
+        path = tmp_path / "imgs.gz"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="not a valid gzip file"):
             load_idx_images(path)
 
     def test_pair_count_mismatch(self, tmp_path):
@@ -440,6 +454,30 @@ class TestSyntheticDigits:
             for b in range(a + 1, 10):
                 assert not np.array_equal(ds.images[a], ds.images[b])
 
+    # every (size, noise, jitter) of the grid, each at n_per_class 1 and 7
+    # under three seeds (two of them the CLI's), and at 0 and 128 under one
+    @pytest.mark.parametrize("size, noise, jitter", list(itertools.product(
+        (20, 28, 32), (0.0, 0.1, 0.5), (0, 1, 2, 3))))
+    def test_same_bytes_as_per_image_reference(self, size, noise, jitter):
+        seeds = (SYNTH_TRAIN_SEED, SYNTH_TEST_SEED, 7)
+        runs = [(n, seed) for n in (1, 7) for seed in seeds]
+        runs += [(0, 7), (128, seeds[(size + jitter) % 3])]
+        for n, seed in runs:
+            got = synthetic_digits(n, seed=seed, size=size, noise=noise, jitter=jitter)
+            want = reference_digits(n, seed=seed, size=size, noise=noise, jitter=jitter)
+            assert got.images.dtype == want.images.dtype and got.labels.dtype == want.labels.dtype
+            assert got.images.tobytes() == want.images.tobytes(), (n, seed)
+            assert got.labels.tobytes() == want.labels.tobytes(), (n, seed)
+
+    def test_no_dataset_sized_temporaries(self):
+        tracemalloc.start()
+        try:
+            ds = synthetic_digits(128, seed=SYNTH_TRAIN_SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.images.nbytes
+
 
 class TestDataConfig:
     """The data.* settings: checked when built, before any file is read."""
@@ -499,6 +537,13 @@ class TestDataConfig:
         assert (len(train), len(test)) == (5, 3)
         assert len(calls) == 2
         assert sorted(reads) == sorted(n for names in data.MNIST_FILES.values() for n in names[:1])
+
+    def test_empty_training_split_rejected_before_normalizing(self, tmp_path):
+        for i in range(1, 6):
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(b"")
+        (tmp_path / "test_batch.bin").write_bytes(bytes(2 * (1 + 3 * 32 * 32)))
+        with pytest.raises(ConfigError, match="training split is an empty dataset"):
+            DataConfig(kind="cifar10", root=str(tmp_path)).load_pair()
 
     def test_mnist_root_from_environment(self, tmp_path, monkeypatch):
         self.write_mnist(tmp_path)
