@@ -14,11 +14,26 @@ import struct
 import numpy as np
 
 from .data import read_file
-from .errors import FormatError, StateError
+from .errors import ConfigError, FormatError, ShapeError, StateError
 from .network import NetworkSpec
 
 MAGIC = b"RVNT1\n"
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+
+
+def _sizes(v):
+    return isinstance(v, list) and all(type(n) is int and n > 0 for n in v)
+
+
+# the header fields load_checkpoint reads, and the test each value must pass
+_FIELDS = {
+    "input_shape": _sizes,
+    "n_classes": lambda v: v is None or type(v) is int,
+    "tokens": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+    "params": lambda v: isinstance(v, list) and all(
+        isinstance(r, dict) and type(r.get("layer")) is int
+        and isinstance(r.get("name"), str) and _sizes(r.get("shape")) for r in v),
+}
 
 
 def save_checkpoint(path, net, extra=None):
@@ -74,6 +89,9 @@ def _parse_header(path, raw):
         raise StateError(f"{path}: unsupported checkpoint version {header.get('version')}")
     if header.get("dtype") not in _DTYPES:
         raise FormatError(f"{path}: unsupported parameter dtype {header.get('dtype')!r}")
+    for key, valid in _FIELDS.items():
+        if key not in header or not valid(header[key]):
+            raise FormatError(f"{path}: header field {key!r} is missing or malformed")
     return header, start + hlen
 
 
@@ -88,7 +106,10 @@ def load_checkpoint(path, rcfg=None):
     header, offset = _parse_header(path, raw)
     dtype = _DTYPES[header["dtype"]]
     spec = NetworkSpec(tuple(header["input_shape"]), header["n_classes"], header["tokens"])
-    net = spec.build(rcfg=rcfg)
+    try:
+        net = spec.build(rcfg=rcfg)
+    except (ConfigError, ShapeError) as exc:
+        raise FormatError(f"{path}: the header's architecture does not build ({exc})") from exc
     net.dtype = dtype.type
     want = {(i, name): shape for i, layer in enumerate(net.layers) if layer.has_params
             for name, shape in layer.param_shapes().items()}

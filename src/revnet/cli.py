@@ -25,13 +25,13 @@ import numpy as np
 
 from . import __version__, tensor
 from .checkpoint import load_checkpoint
-from .config import (config_lines, load_config, reverse_config_from, settings_from,
-                     train_config_from, typed)
-from .data import DataConfig, ImbalanceProfile, augment, compose_imbalanced, save_composed
+from .config import config_lines, load_config, settings_from, typed
+from .data import DataConfig, ImbalanceProfile, compose_imbalanced, save_composed
 from .errors import ConfigError, DataError, NumericError, RevnetError
 from .imaging import generation_grid, reconstruction_grid, save_image
+from .layers import ReverseConfig
 from .network import NetConfig, transform_likelihood
-from .training import run_experiment
+from .training import TrainConfig, run_experiment
 
 
 def dataset_fingerprint(ds):
@@ -93,7 +93,7 @@ def _apply_common(args, values):
 def cmd_train(args, values, start):
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
-    cfg, rcfg = train_config_from(values), reverse_config_from(values)
+    cfg, rcfg = settings_from(values, TrainConfig), settings_from(values, ReverseConfig)
     ncfg, dcfg = settings_from(values, NetConfig), settings_from(values, DataConfig)
     train, test = dcfg.load_pair()
     spec = ncfg.spec(train.images.shape[1:], train.class_count)
@@ -108,7 +108,7 @@ def cmd_train(args, values, start):
         print(f"run {r}: seed {seed_r}, {len(train)} train / {len(test)} test samples")
         _, final = run_experiment(
             net, train.images, train.labels, test.images, test.labels,
-            train.class_count, cfg_r, out_dir=sub, log=print, augment_fn=augment,
+            train.class_count, cfg_r, out_dir=sub, log=print,
         )
         summary.append((seed_r, final[0], final[1]))
     if args.repeats > 1:
@@ -127,7 +127,7 @@ def cmd_train(args, values, start):
 def _load_net_and_batch(args, values):
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    rcfg, dcfg = reverse_config_from(values), settings_from(values, DataConfig)
+    rcfg, dcfg = settings_from(values, ReverseConfig), settings_from(values, DataConfig)
     net, _ = load_checkpoint(args.checkpoint, rcfg=rcfg)
     train, test = dcfg.load_pair()
     x = (test if args.split == "test" else train).images[:args.count]
@@ -156,7 +156,7 @@ def cmd_reconstruct(args, values, start):
 
 
 def cmd_generate(args, values, start):
-    cfg = train_config_from(values)
+    cfg = settings_from(values, TrainConfig)
     net, x, datasets = _load_net_and_batch(args, values)
     o, _, trace = net.feed_forward(x)
     if args.bypass_transform:

@@ -110,24 +110,12 @@ def typed(values, key):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def settings_from(values, cls, **extra):
-    """cls built from the typed values of its keys; extra fills the fields
-    that are not keys."""
+def settings_from(values, cls):
+    """cls built from the typed values of its keys; a field whose default is
+    a settings dataclass (TrainConfig.transform) is built from its own keys."""
     prefix = SECTIONS[cls]
-    return cls(**{f.name: typed(values, prefix + f.name)
-                  for f in fields(cls) if f.default is not MISSING}, **extra)
-
-
-def train_config_from(values):
-    return settings_from(values, TrainConfig, transform=settings_from(values, TransformConfig))
-
-
-def reverse_config_from(values):
-    return settings_from(values, ReverseConfig)
-
-
-def network_spec_from(values, input_shape, n_classes):
-    return settings_from(values, NetConfig).spec(input_shape, n_classes)
+    return cls(**{f.name: typed(values, prefix + f.name) if f.default is not MISSING
+                  else settings_from(values, f.default_factory) for f in fields(cls)})
 
 
 def config_lines(values):

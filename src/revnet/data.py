@@ -152,10 +152,6 @@ def load_mnist_split(root, split):
     return load_mnist_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
 
 
-def load_mnist_dir(root):
-    return load_mnist_split(root, "train"), load_mnist_split(root, "test")
-
-
 # -- CIFAR-style records ----------------------------------------------------
 
 
@@ -239,15 +235,15 @@ def load_composed(out_dir):
 
 
 def normalize_channelwise(ds, stats=None, mode="divide_mean"):
-    """Channel normalization; stats from the training set are reused for
-    the test set. mode 'divide_mean' divides each channel by its mean;
-    'standardize' applies (x - mean) / std."""
+    """Channel normalization; stats (mean, std) from the training set are
+    reused for the test set. mode 'divide_mean' divides each channel by its
+    mean, and computes no std (None); 'standardize' applies
+    (x - mean) / std."""
     if mode not in ("divide_mean", "standardize"):
         raise ConfigError(f"unknown normalization mode {mode!r}")
     if stats is None:
         mean = ds.images.mean(axis=(0, 2, 3))
-        std = ds.images.std(axis=(0, 2, 3))
-        stats = (mean, std)
+        stats = (mean, ds.images.std(axis=(0, 2, 3)) if mode == "standardize" else None)
     mean, std = stats
     if mode == "divide_mean":
         if np.any(mean <= 0):

@@ -30,12 +30,12 @@ def unit_to_u8(pane):
     return np.clip(np.rint(np.asarray(pane, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
 
 
-def chw_pane(img, mapper=to_u8):
+def chw_pane(img):
     """[..., C, H, W] float -> [..., H, W] (C=1) or [..., H, W, 3] (C=3)
-    uint8, each channel mapped as its own pane."""
+    uint8, each channel rescaled (to_u8) as its own pane."""
     if img.ndim < 3 or img.shape[-3] not in (1, 3):
         raise ShapeError(f"pane wants [1|3,H,W], got {img.shape}")
-    u8 = mapper(img)
+    u8 = to_u8(img)
     return u8[..., 0, :, :] if img.shape[-3] == 1 else np.moveaxis(u8, -3, -1)
 
 

@@ -205,7 +205,7 @@ class Conv(Layer):
     has_params = True
 
     def __init__(self, c_in, c_out, k, stride=1, pad=None):
-        if min(c_in, c_out, k) <= 0:
+        if min(c_in, c_out, k, stride) <= 0:
             raise ShapeError("conv dims must be positive")
         self.c_in = c_in
         self.c_out = c_out

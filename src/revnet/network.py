@@ -80,12 +80,14 @@ class TransformConfig:
             raise ConfigError("transform boost_factor must be in [0,1]")
 
 
-def transform_likelihood_with_pre(o, cfg, rng):
-    """Returns (pre, post): the boosted rows before and after renormalization."""
+def transform_likelihood(o, cfg, rng):
+    """A copy of o with cfg.boost_count entries per row boosted, divided in
+    place by its row sums if cfg.renormalize. The picks do not depend on
+    cfg.renormalize."""
     n = o.shape[1]
     if cfg.boost_count >= n:
         raise ConfigError(f"boost_count {cfg.boost_count} must be < class count {n}")
-    pre = o.copy()
+    out = o.copy()
     top = o.argmax(axis=1)
     boost = o.dtype.type(cfg.boost_factor) * o.max(axis=1)
     if cfg.boost_count == 1:
@@ -97,7 +99,7 @@ def transform_likelihood_with_pre(o, cfg, rng):
         else:
             v = rng.integers(0, n - 1, size=len(o))
             chosen = v + (v >= top)
-        pre[np.arange(len(o)), chosen] = boost
+        out[np.arange(len(o)), chosen] = boost
     else:
         for r in range(len(o)):
             if cfg.include_argmax:
@@ -105,15 +107,10 @@ def transform_likelihood_with_pre(o, cfg, rng):
             else:
                 pool = np.delete(np.arange(n), top[r])
             chosen = rng.choice(pool, size=cfg.boost_count, replace=False)
-            pre[r, chosen] = boost[r]
-    if not cfg.renormalize:
-        return pre, pre.copy()
-    sums = pre.sum(axis=1, keepdims=True)
-    return pre, pre / sums
-
-
-def transform_likelihood(o, cfg, rng):
-    return transform_likelihood_with_pre(o, cfg, rng)[1]
+            out[r, chosen] = boost[r]
+    if cfg.renormalize:
+        out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def _out(layer, v, owned):
@@ -252,10 +249,6 @@ class ReversibleNetwork:
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != network input {self.input_shape}")
         return self._forward(x)
-
-    def predict(self, x):
-        o, _, _ = self.feed_forward(x)
-        return np.argmax(o, axis=-1)
 
     def backward_from_logits(self, g, trace, acc, free=False):
         """Backprop a gradient given w.r.t. the pre-softmax logits (the

@@ -325,22 +325,19 @@ def _conv_geometry(h, w, kh, kw, stride, pad):
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
-def _as_batched(x):
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"conv input must be [C,H,W] or [B,C,H,W], got {x.shape}")
+def _require_batched(op, *arrays):
+    for a in arrays:
+        if a.ndim != 4:
+            raise ShapeError(f"{op}: input must be [B,C,H,W], got {a.shape}")
 
 
 def conv2d(x, kernel, stride=1, pad=0):
     """Cross-correlate [B,C_in,H,W] with [C_out,C_in,kH,kW] -> [B,C_out,H',W']."""
-    x, squeeze = _as_batched(x)
+    _require_batched("conv2d", x)
     ci = kernel.shape[1]
     if x.shape[1] != ci:
         raise ShapeError(f"conv2d: input has {x.shape[1]} channels, kernel expects {ci}")
-    out = _conv2d(x, kernel, stride, pad)
-    return out[0] if squeeze else out
+    return _conv2d(x, kernel, stride, pad)
 
 
 def conv2d_transposed(y, kernel, stride=1, pad=0):
@@ -349,7 +346,7 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
     [B,C_out,H',W'] -> [B,C_in,H,W] with H = (H'-1)*stride + kH - 2*pad.
     For every a, b of matching shapes, <conv2d(a,K), b> == <a, conv2d_transposed(b,K)>.
     """
-    y, squeeze = _as_batched(y)
+    _require_batched("conv2d_transposed", y)
     b, _, ho, wo = y.shape
     co, ci, kh, kw = kernel.shape
     if y.shape[1] != co:
@@ -364,8 +361,7 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
         # time at the 1- and 3-channel input convs); at stride > 1 its phase
         # conv is s*s times smaller, and it won at every shape measured,
         # small's 16 -> 1 folded input-conv reverse included (0.6x)
-        out = _conv2d_transposed_subpixel(y, kernel, stride, pad, h, w)
-        return out[0] if squeeze else out
+        return _conv2d_transposed_subpixel(y, kernel, stride, pad, h, w)
     # col2im: kernel^T @ y gives each chunk's full-form shifted copy, whose
     # adjoint adds it into the output
     shape, _, _, add = _shifted((ci, h, w), kh, kw, stride, pad, ho, wo, 0, True)
@@ -380,7 +376,7 @@ def conv2d_transposed(y, kernel, stride=1, pad=0):
         add(np.matmul(kmat_t, yf[b0:b1], out=cols[:m]).reshape(shape(m)), out[b0:b1])
 
     _run_chunks(chunks, lambda: np.empty((n, rows, ho * wo), dtype=y.dtype), job)
-    return out[0] if squeeze else out
+    return out
 
 
 def _conv2d_transposed_subpixel(y, kernel, s, pad, h, w):
@@ -433,8 +429,7 @@ def conv2d_weight_grad(x, upstream, kernel_shape, stride=1, pad=0):
     chunk's m: the balanced chunks have at most two lengths, the longer
     first, so the entries outside the input are zeroed when the copy is
     first shaped and again at the one change of m."""
-    x, _ = _as_batched(x)
-    upstream, _ = _as_batched(upstream)
+    _require_batched("conv2d_weight_grad", x, upstream)
     b, ci, h, w = x.shape
     co, _, kh, kw = kernel_shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, pad)

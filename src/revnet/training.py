@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
+from . import data, tensor
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
 from .layers import Dense, MaxPool
@@ -294,10 +294,10 @@ def batch_order(n, batch_size, rng):
 
 
 def run_experiment(net, train_images, train_labels, test_images, test_labels,
-                   n_classes, cfg, out_dir=None, log=None, augment_fn=None,
-                   epoch_hook=None):
+                   n_classes, cfg, out_dir=None, log=None, epoch_hook=None):
     """Epoch loop: per-step metric rows, evaluation at each epoch end,
-    checkpoints at every lr drop and at the end.
+    checkpoints at every lr drop and at the end. With cfg.augment each
+    batch goes through data.augment first.
 
     Returns (rows, final_eval). out_dir, when given, receives metrics.csv
     and checkpoint files; log, when given, gets one text line per epoch;
@@ -325,8 +325,8 @@ def run_experiment(net, train_images, train_labels, test_images, test_labels,
                 t0 = time.perf_counter()
                 xb = train_images[idx]
                 yb = train_labels[idx]
-                if cfg.augment and augment_fn is not None:
-                    xb = augment_fn(xb, augment_rng)
+                if cfg.augment:
+                    xb = data.augment(xb, augment_rng)
                 rep, mis = train_step(net, (xb, yb), cfg, transform_rng, epoch=epoch)
                 seconds = 0.0 if cfg.determinism else time.perf_counter() - t0
                 test_err = None

@@ -23,20 +23,14 @@ import pytest
 
 from reference_trainer import PlainMlpTrainer
 from revnet.cli import main as cli_main
-from revnet.config import (
-    load_config,
-    network_spec_from,
-    reverse_config_from,
-    train_config_from,
-    typed,
-)
+from revnet.config import load_config, settings_from, typed
 from revnet.data import (
     ImbalanceProfile,
     compose_imbalanced,
     load_cifar_binary,
     load_idx_images,
     load_idx_labels,
-    load_mnist_dir,
+    load_mnist_split,
     normalize_channelwise,
     save_records,
     write_idx_images,
@@ -54,6 +48,7 @@ from revnet.layers import (
 )
 from revnet.losses import cross_entropy, one_hot, reconstruction_mse
 from revnet.network import (
+    NetConfig,
     NetworkSpec,
     ReversibleNetwork,
     baseline_spec,
@@ -391,7 +386,7 @@ def test_criterion_3_plain_sgd_parity():
 def _mnist_or_skip():
     root = os.environ.get("REVNET_MNIST_DIR", os.path.join("data", "mnist"))
     try:
-        return load_mnist_dir(root)
+        return load_mnist_split(root, "train"), load_mnist_split(root, "test")
     except DataError as exc:
         pytest.skip(
             f"MNIST IDX files not available under {root!r}; "
@@ -511,7 +506,7 @@ def test_criterion_6_full_scale_config_ships():
                             "configs", "cifar10-long.cfg")
         assert os.path.isfile(path), f"missing {path}"
         values = load_config(path)
-        cfg = train_config_from(values)
+        cfg = settings_from(values, TrainConfig)
         assert cfg.lr0 == pytest.approx(0.1)
         assert cfg.lr_drop_epochs == (20, 40, 60)
         assert cfg.lr_drop_factor == pytest.approx(0.1)
@@ -524,15 +519,15 @@ def test_criterion_6_full_scale_config_ships():
         assert cfg.enable_reverse_loss and cfg.enable_generation
         assert typed(values, "data.kind") == "cifar10"
         assert typed(values, "data.normalize") == "divide_mean"
-        rcfg = reverse_config_from(values)
-        spec = network_spec_from(values, (3, 32, 32), 10)
+        rcfg = settings_from(values, ReverseConfig)
+        spec = settings_from(values, NetConfig).spec((3, 32, 32), 10)
         net = spec.build(np.random.default_rng(0), rcfg=rcfg)
         kinds = [lay.kind for lay in net.layers]
         assert kinds.count("conv") == 6
         assert kinds.count("maxpool") == 2
         assert kinds.count("dense") == 2
         assert kinds[-1] == "softmax"
-        assert net.predict(np.zeros((2, 3, 32, 32), dtype=np.float32)).shape == (2,)
+        assert net.feed_forward(np.zeros((2, 3, 32, 32), dtype=np.float32))[0].shape == (2, 10)
 
 
 # ---------------------------------------------------------------------------

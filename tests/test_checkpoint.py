@@ -234,3 +234,26 @@ class TestCorruptHeader:
             load_checkpoint(path)
         with pytest.raises(FormatError, match="dtype"):
             read_header(path)
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda h: h.pop("input_shape"), "input_shape"),
+        (lambda h: h.update(input_shape="abc"), "input_shape"),
+        (lambda h: h.update(input_shape=[1, 0, 9]), "input_shape"),
+        (lambda h: h.pop("n_classes"), "n_classes"),
+        (lambda h: h.update(tokens="conv"), "tokens"),
+        (lambda h: h["params"][0].pop("name"), "params"),
+        (lambda h: h["params"][1].update(shape=[-3]), "params"),
+        (lambda h: h["params"][2].update(layer="2"), "params"),
+    ])
+    def test_missing_or_mistyped_field(self, path, mutate, field):
+        repack(path, mutate)
+        for read in (load_checkpoint, read_header):
+            with pytest.raises(FormatError, match=f"header field '{field}'"):
+                read(path)
+
+    @pytest.mark.parametrize("tokens", [["bogus"], ["conv:3:3:0", "dense:4", "softmax"],
+                                        ["conv:3:30:1:0", "dense:4", "softmax"], []])
+    def test_architecture_that_does_not_build(self, path, tokens):
+        repack(path, lambda h: h.update(tokens=tokens))
+        with pytest.raises(FormatError, match="does not build"):
+            load_checkpoint(path)

@@ -28,6 +28,9 @@ FAST = [
     "--override", "train.clip_grad_norm=5.0",
 ]
 
+# a checkpoint header, given its input_shape, tokens and params
+HEADER = b'{"version": 1, "dtype": "float32", "input_shape": %s, "n_classes": 10, "tokens": %s, "params": %s}'
+
 
 def train_cmd(out, extra=(), epochs=1):
     args = ["train", "--out", str(out)] + FAST
@@ -348,7 +351,14 @@ class TestReconstructAndGenerate:
         assert main(args) == 2
 
     @pytest.mark.parametrize("command", ["reconstruct", "generate"])
-    @pytest.mark.parametrize("header", [b'{"version": 1', b"[1]", b'{"version": 1, "dtype": "float16"}'])
+    @pytest.mark.parametrize("header", [
+        b'{"version": 1', b"[1]", b'{"version": 1, "dtype": "float16"}',
+        pytest.param(b'{"version": 1, "dtype": "float32"}', id="no-input-shape"),
+        pytest.param(HEADER % (b'[1, 28, 28]', b'["dense:10", "softmax"]',
+                               b'[{"layer": 0, "shape": [784, 10]}]'), id="param-without-name"),
+        pytest.param(HEADER % (b'"abc"', b'["dense:10", "softmax"]', b'[]'), id="input-shape-abc"),
+        pytest.param(HEADER % (b'[1, 28, 28]', b'["bogus"]', b'[]'), id="unknown-token"),
+    ])
     def test_corrupt_checkpoint_header_exits_3(self, tmp_path, checkpoint, capsys, command, header):
         raw = open(checkpoint, "rb").read()
         hlen = int.from_bytes(raw[6:10], "little")

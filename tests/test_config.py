@@ -10,11 +10,8 @@ from revnet.config import (
     SECTIONS,
     config_lines,
     load_config,
-    network_spec_from,
     parse_config_text,
-    reverse_config_from,
     settings_from,
-    train_config_from,
     typed,
 )
 from revnet.data import DataConfig
@@ -107,7 +104,7 @@ class TestBuilders:
             "train.clip_grad_norm=5.0", "transform.boost_count=2",
             "train.seed=7",
         ])
-        cfg = train_config_from(values)
+        cfg = settings_from(values, TrainConfig)
         assert cfg.lr0 == 0.02
         assert cfg.lr_drop_epochs == (3, 4)
         assert cfg.epochs == 5
@@ -118,19 +115,29 @@ class TestBuilders:
     def test_invalid_train_value_rejected(self):
         values = load_config(overrides=["train.momentum=1.5"])
         with pytest.raises(ConfigError):
-            train_config_from(values)
+            settings_from(values, TrainConfig)
+
+    def test_transform_section_nested_in_train_settings(self):
+        values = load_config(overrides=["transform.renormalize=no", "transform.boost_factor=0.5"])
+        cfg = settings_from(values, TrainConfig)
+        assert cfg.transform == settings_from(values, TransformConfig)
+        assert cfg.transform == TransformConfig(renormalize=False, boost_factor=0.5)
+        with pytest.raises(ConfigError, match="boost_count"):
+            settings_from(load_config(overrides=["transform.boost_count=0"]), TrainConfig)
 
     def test_reverse_config(self):
         values = load_config(overrides=["net.reverse_activation=forward"])
-        rcfg = reverse_config_from(values)
+        rcfg = settings_from(values, ReverseConfig)
         assert rcfg.activation == "forward"
         assert rcfg.pool == "upsample"
 
     def test_reverse_config_rejects_unknown(self):
         with pytest.raises(ConfigError, match="reverse_activation"):
-            reverse_config_from(load_config(overrides=["net.reverse_activation=mirror"]))
+            settings_from(load_config(overrides=["net.reverse_activation=mirror"]),
+                          ReverseConfig)
         with pytest.raises(ConfigError, match="reverse_pool"):
-            reverse_config_from(load_config(overrides=["net.reverse_pool=nearest"]))
+            settings_from(load_config(overrides=["net.reverse_pool=nearest"]),
+                          ReverseConfig)
 
     def test_reverse_config_checks_itself(self):
         with pytest.raises(ConfigError, match="reverse_activation"):
@@ -140,27 +147,27 @@ class TestBuilders:
 
     def test_named_architectures(self):
         for arch in ("baseline", "small"):
-            spec = network_spec_from(load_config(overrides=[f"net.arch={arch}"]), (1, 28, 28), 10)
-            net = spec.build(np.random.default_rng(0))
+            ncfg = settings_from(load_config(overrides=[f"net.arch={arch}"]), NetConfig)
+            net = ncfg.spec((1, 28, 28), 10).build(np.random.default_rng(0))
             assert net.shapes[-1] == (10,)
 
     def test_custom_layers(self):
         values = load_config(overrides=[
             "net.arch=custom", "net.layers=dense:32, lrelu, dense:10, softmax",
         ])
-        spec = network_spec_from(values, (16,), 10)
+        spec = settings_from(values, NetConfig).spec((16,), 10)
         net = spec.build(np.random.default_rng(0))
         assert len(net.layers) == 4
 
     def test_custom_needs_layers(self):
         values = load_config(overrides=["net.arch=custom"])
         with pytest.raises(ConfigError, match="net.layers"):
-            network_spec_from(values, (16,), 10)
+            settings_from(values, NetConfig)
 
     def test_unknown_arch(self):
         values = load_config(overrides=["net.arch=resnet"])
         with pytest.raises(ConfigError, match="net.arch"):
-            network_spec_from(values, (16,), 10)
+            settings_from(values, NetConfig)
 
     @pytest.mark.parametrize("layers", ["", " , ,"])
     def test_net_config_checks_itself(self, layers):
@@ -181,8 +188,8 @@ class TestOneOwner:
 
     def test_default_config_builds_default_settings(self):
         values = load_config()
-        assert train_config_from(values) == TrainConfig()
-        assert reverse_config_from(values) == ReverseConfig()
+        assert settings_from(values, TrainConfig) == TrainConfig()
+        assert settings_from(values, ReverseConfig) == ReverseConfig()
         for cls in (TransformConfig, NetConfig, DataConfig):
             assert settings_from(values, cls) == cls()
 
@@ -219,7 +226,7 @@ class TestOneOwner:
         # net.reverse_ keys share the net. prefix but belong to ReverseConfig
         values = load_config(overrides=["net.reverse_pool=unpool"])
         assert settings_from(values, NetConfig) == NetConfig()
-        assert reverse_config_from(values).pool == "unpool"
+        assert settings_from(values, ReverseConfig).pool == "unpool"
 
     def test_defaults_written_as_config_text(self):
         values = load_config()

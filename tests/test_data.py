@@ -24,8 +24,8 @@ from revnet.data import (
     load_composed,
     load_idx_images,
     load_idx_labels,
-    load_mnist_dir,
     load_mnist_idx,
+    load_mnist_split,
     mnist_paths,
     normalize_channelwise,
     save_composed,
@@ -164,7 +164,7 @@ class TestMnistDir:
     def test_finds_plain_and_gz(self, tmp_path):
         self.write_pair(tmp_path, "train-images-idx3-ubyte", "train-labels-idx1-ubyte", 6)
         self.write_pair(tmp_path, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", 3, gz=True)
-        train, test = load_mnist_dir(tmp_path)
+        train, test = load_mnist_split(tmp_path, "train"), load_mnist_split(tmp_path, "test")
         assert len(train) == 6
         assert len(test) == 3
         assert train.class_count == 10
@@ -172,7 +172,7 @@ class TestMnistDir:
     def test_dotted_alternate_names(self, tmp_path):
         self.write_pair(tmp_path, "train-images.idx3-ubyte", "train-labels.idx1-ubyte", 4)
         self.write_pair(tmp_path, "t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte", 2)
-        train, test = load_mnist_dir(tmp_path)
+        train, test = load_mnist_split(tmp_path, "train"), load_mnist_split(tmp_path, "test")
         assert len(train) == 4
         assert len(test) == 2
 
@@ -299,6 +299,31 @@ class TestNormalize:
         # a fresh normalization of the test set would differ
         fresh, _ = normalize_channelwise(test)
         assert not np.allclose(out.images, fresh.images)
+
+    @pytest.mark.parametrize("mode", ["divide_mean", "standardize"])
+    def test_mode_computes_only_its_statistics(self, mode):
+        # the images the two-statistic code made: both statistics computed,
+        # the mode's expression applied to the training and the test split
+        rng = np.random.default_rng(12)
+        train, test = (LabeledDataset(rng.random((n, 3, 6, 6)).astype(np.float32),
+                                      np.zeros(n, dtype=np.int64), 1) for n in (40, 10))
+        mean = train.images.mean(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        std = train.images.std(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+
+        def want(ds):
+            out = ds.images / mean if mode == "divide_mean" else (ds.images - mean) / std
+            return out.astype(np.float32, copy=False)
+
+        train_n, stats = normalize_channelwise(train, mode=mode)
+        test_n, reused = normalize_channelwise(test, stats=stats, mode=mode)
+        assert reused is stats
+        assert stats[0].tobytes() == mean.tobytes()
+        if mode == "divide_mean":
+            assert stats[1] is None
+        else:
+            assert stats[1].tobytes() == std.tobytes()
+        assert train_n.images.tobytes() == want(train).tobytes()
+        assert test_n.images.tobytes() == want(test).tobytes()
 
     def test_standardize(self):
         ds = tiny_dataset(n=60, size=8)

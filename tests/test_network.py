@@ -17,8 +17,9 @@ from revnet.network import (
     check_likelihood,
     small_cnn_spec,
     transform_likelihood,
-    transform_likelihood_with_pre,
 )
+
+RAW = TransformConfig(renormalize=False)
 
 
 def small_net(seed=0, rcfg=None):
@@ -80,9 +81,8 @@ class TestTransformLikelihood:
         # with two classes and the argmax excluded there is only one
         # candidate entry, so the result does not depend on the rng
         o = np.array([[0.9, 0.1]])
-        pre, post = transform_likelihood_with_pre(
-            o, TransformConfig(), np.random.default_rng(123)
-        )
+        pre = transform_likelihood(o, RAW, np.random.default_rng(123))
+        post = transform_likelihood(o, TransformConfig(), np.random.default_rng(123))
         assert pre[0, 0] == 0.9
         assert pre[0, 1] == pytest.approx(0.95 * 0.9, abs=1e-12)
         assert np.allclose(post, pre / pre.sum())
@@ -93,8 +93,8 @@ class TestTransformLikelihood:
             [[0.70, 0.10, 0.12, 0.05, 0.03], [0.05, 0.55, 0.15, 0.15, 0.10]]
         )
         for k in (1, 2, 3):
-            pre, _ = transform_likelihood_with_pre(
-                o, TransformConfig(boost_count=k), np.random.default_rng(7)
+            pre = transform_likelihood(
+                o, TransformConfig(boost_count=k, renormalize=False), np.random.default_rng(7)
             )
             changed = np.sum(pre != o, axis=1)
             assert np.all(changed == k)
@@ -102,27 +102,25 @@ class TestTransformLikelihood:
     def test_argmax_untouched_by_default(self):
         o = np.array([[0.70, 0.10, 0.12, 0.05, 0.03]])
         for trial in range(50):
-            pre, _ = transform_likelihood_with_pre(
-                o, TransformConfig(boost_count=2), np.random.default_rng(trial)
+            pre = transform_likelihood(
+                o, TransformConfig(boost_count=2, renormalize=False), np.random.default_rng(trial)
             )
             assert pre[0, 0] == o[0, 0]
 
     def test_include_argmax_can_touch_it(self):
         o = np.array([[0.70, 0.30]])
-        cfg = TransformConfig(include_argmax=True)
+        cfg = TransformConfig(include_argmax=True, renormalize=False)
         touched = False
         for trial in range(50):
-            pre, _ = transform_likelihood_with_pre(
-                o, cfg, np.random.default_rng(trial)
-            )
+            pre = transform_likelihood(o, cfg, np.random.default_rng(trial))
             if pre[0, 0] != o[0, 0]:
                 touched = True
         assert touched
 
     def test_boosted_value_is_factor_times_row_max(self):
         o = np.array([[0.70, 0.10, 0.12, 0.05, 0.03]])
-        cfg = TransformConfig(boost_count=2, boost_factor=0.5)
-        pre, _ = transform_likelihood_with_pre(o, cfg, np.random.default_rng(1))
+        cfg = TransformConfig(boost_count=2, boost_factor=0.5, renormalize=False)
+        pre = transform_likelihood(o, cfg, np.random.default_rng(1))
         mask = pre[0] != o[0]
         assert np.allclose(pre[0, mask], 0.5 * 0.70, atol=1e-12)
 
@@ -136,11 +134,11 @@ class TestTransformLikelihood:
     def test_no_renormalize_returns_raw_boost(self):
         rng = np.random.default_rng(3)
         o = rng.dirichlet(np.ones(6), size=4)
-        pre, post = transform_likelihood_with_pre(
-            o, TransformConfig(renormalize=False), np.random.default_rng(4)
-        )
-        assert np.array_equal(pre, post)
-        assert np.any(np.abs(post.sum(axis=1) - 1.0) > 1e-6)
+        pre = transform_likelihood(o, RAW, np.random.default_rng(4))
+        post = transform_likelihood(o, TransformConfig(), np.random.default_rng(4))
+        assert np.any(np.abs(pre.sum(axis=1) - 1.0) > 1e-6)
+        # the same picks, then the division by the row sums
+        assert post.tobytes() == (pre / pre.sum(axis=1, keepdims=True)).tobytes()
 
     @pytest.mark.parametrize("include_argmax", [False, True])
     def test_single_boost_draw_matches_the_per_row_loop(self, include_argmax):
@@ -155,12 +153,12 @@ class TestTransformLikelihood:
                 pre[r, rng.choice(pool, size=1, replace=False)] = o.dtype.type(0.95) * o[r].max()
             return pre
 
-        cfg = TransformConfig(include_argmax=include_argmax)
+        cfg = TransformConfig(include_argmax=include_argmax, renormalize=False)
         for seed, (rows, classes) in enumerate([(128, 10)] * 5 + [(7, 2), (33, 3)]):
             o = np.random.default_rng(100 + seed).dirichlet(np.ones(classes), size=rows)
             o = o.astype(np.float32) if seed % 2 else o
             new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            pre, _ = transform_likelihood_with_pre(o, cfg, new)
+            pre = transform_likelihood(o, cfg, new)
             assert pre.tobytes() == loop(o, old).tobytes()
             assert new.bit_generator.state == old.bit_generator.state
 
@@ -256,12 +254,6 @@ class TestForwardAndTail:
         assert alpha.shape == (2, net.layers[net.final_dense_idx].W.shape[0])
         o2 = net.one_step_forward(alpha)
         assert np.array_equal(o2, o)
-
-    def test_predict_is_argmax(self):
-        net = small_net()
-        x = np.random.default_rng(2).normal(size=(4, 1, 16, 16)).astype(np.float32)
-        o, _, _ = net.feed_forward(x)
-        assert np.array_equal(net.predict(x), o.argmax(axis=1))
 
     def test_wrong_input_shape_rejected(self):
         net = small_net()

@@ -874,14 +874,17 @@ def test_weight_grad_rejects_upstream_of_another_shape():
             tensor.conv2d_weight_grad(x, upstream, kernel_shape, 1, 1)
 
 
-def test_conv2d_single_sample_rank3():
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_transposed", "conv2d_weight_grad"])
+def test_rank3_input_rejected(kernel):
+    # every kernel takes a batch [B,C,H,W]; one sample [C,H,W] is no batch
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3))
-    got = tensor.conv2d(x, w, 1, 1)
-    want = tensor.conv2d(x[None], w, 1, 1)[0]
-    assert got.shape == (3, 6, 6)
-    assert np.array_equal(got, want)
+    x, y = rng.standard_normal((2, 6, 6)), rng.standard_normal((3, 6, 6))
+    call = {"conv2d": lambda: tensor.conv2d(x, w, 1, 1),
+            "conv2d_transposed": lambda: tensor.conv2d_transposed(y, w, 1, 1),
+            "conv2d_weight_grad": lambda: tensor.conv2d_weight_grad(x, y, w.shape, 1, 1)}[kernel]
+    with pytest.raises(ShapeError, match=r"must be \[B,C,H,W\]"):
+        call()
 
 
 @pytest.mark.parametrize("case", range(50))

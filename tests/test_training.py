@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reference_trainer import PlainMlpTrainer
-from revnet import losses, network, tensor
+from revnet import data, losses, network, tensor
 from revnet.errors import ConfigError, NumericError
 from revnet.layers import ReverseConfig
 from revnet.losses import cross_entropy, one_hot, reconstruction_mse
@@ -771,19 +771,31 @@ class TestRunExperiment:
         assert len(lines) == 3
         assert seen == [(0, True), (1, True), (2, True)]
 
-    def test_augment_fn_applied(self):
+    def augment_calls(self, monkeypatch, augment):
+        """The batch shapes run_experiment hands data.augment, over one
+        epoch of 48 [1,4,4] images in batches of 16."""
         calls = []
+        real = data.augment
 
-        def fake_augment(xb, rng):
-            calls.append(xb.shape[0])
-            return xb
+        def spy(xb, rng):
+            calls.append(xb.shape)
+            return real(xb, rng)
 
-        cfg = TrainConfig(epochs=1, train_batch=16, augment=True,
+        monkeypatch.setattr(data, "augment", spy)
+        cfg = TrainConfig(epochs=1, train_batch=16, augment=augment,
                           enable_reverse_loss=False, enable_generation=False)
-        net = mlp(n_in=16, hidden=12, n_classes=4, dtype=np.float32)
+        net = NetworkSpec((1, 4, 4), 4, ["dense:12", "lrelu", "dense:4", "softmax"]).build(
+            np.random.default_rng(0))
         xtr, ytr = toy_data(n=48, n_in=16, n_classes=4, seed=31, dtype=np.float32)
-        run_experiment(net, xtr, ytr, xtr, ytr, 4, cfg, augment_fn=fake_augment)
-        assert calls == [16, 16, 16]
+        xtr = xtr.reshape(48, 1, 4, 4)
+        run_experiment(net, xtr, ytr, xtr, ytr, 4, cfg)
+        return calls
+
+    def test_augment_applied_to_every_batch(self, monkeypatch):
+        assert self.augment_calls(monkeypatch, True) == [(16, 1, 4, 4)] * 3
+
+    def test_no_augment_makes_no_call(self, monkeypatch):
+        assert self.augment_calls(monkeypatch, False) == []
 
 
 class TestMetricsRow:
