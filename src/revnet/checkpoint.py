@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .data import read_file
-from .errors import ConfigError, FormatError, ShapeError, StateError
+from .errors import ConfigError, FormatError, StateError
 from .network import NetworkSpec
 
 MAGIC = b"RVNT1\n"
@@ -86,7 +86,7 @@ def _parse_header(path, raw):
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
-        raise StateError(f"{path}: unsupported checkpoint version {header.get('version')}")
+        raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
     if header.get("dtype") not in _DTYPES:
         raise FormatError(f"{path}: unsupported parameter dtype {header.get('dtype')!r}")
     for key, valid in _FIELDS.items():
@@ -108,7 +108,7 @@ def load_checkpoint(path, rcfg=None):
     spec = NetworkSpec(tuple(header["input_shape"]), header["n_classes"], header["tokens"])
     try:
         net = spec.build(rcfg=rcfg)
-    except (ConfigError, ShapeError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"{path}: the header's architecture does not build ({exc})") from exc
     net.dtype = dtype.type
     want = {(i, name): shape for i, layer in enumerate(net.layers) if layer.has_params
@@ -119,7 +119,7 @@ def load_checkpoint(path, rcfg=None):
         if implied is None:
             raise FormatError(f"{path}: layer {i} has no parameter {name} to load")
         if implied != shape:
-            raise StateError(
+            raise FormatError(
                 f"{path}: parameter {name} of layer {i} has shape "
                 f"{shape} but the architecture implies {implied}"
             )

@@ -102,9 +102,10 @@ def cmd_train(args, values, start):
     for r in range(args.repeats):
         seed_r = cfg.seed + r
         cfg_r = replace(cfg, seed=seed_r)
+        # built first, so an architecture that does not fit leaves no directory
+        net = spec.build(np.random.default_rng(np.random.SeedSequence([seed_r, 1])), rcfg=rcfg)
         sub = out_dir if args.repeats == 1 else os.path.join(out_dir, f"run-{r:02d}")
         os.makedirs(sub, exist_ok=True)
-        net = spec.build(np.random.default_rng(np.random.SeedSequence([seed_r, 1])), rcfg=rcfg)
         print(f"run {r}: seed {seed_r}, {len(train)} train / {len(test)} test samples")
         _, final = run_experiment(
             net, train.images, train.labels, test.images, test.labels,

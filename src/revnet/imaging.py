@@ -39,11 +39,11 @@ def chw_pane(img):
     return u8[..., 0, :, :] if img.shape[-3] == 1 else np.moveaxis(u8, -3, -1)
 
 
-def likelihood_strip(vec, height, cell=8):
-    """One grayscale cell per class, absolute-scaled: [..., n] -> [...,
-    height, n*cell]."""
+def likelihood_strip(vec, height):
+    """One 8px-wide grayscale cell per class, absolute-scaled: [..., n] ->
+    [..., height, 8*n]."""
     u8 = unit_to_u8(vec)[..., None, :]
-    return np.repeat(np.repeat(u8, height, axis=-2), cell, axis=-1)
+    return np.repeat(np.repeat(u8, height, axis=-2), 8, axis=-1)
 
 
 def vector_strip(vec, height):
@@ -52,9 +52,9 @@ def vector_strip(vec, height):
     return np.repeat(to_u8(np.asarray(vec)[..., None, :]), height, axis=-2)
 
 
-def grid(panes, sep=1, sep_value=0):
+def grid(panes):
     """Per-sample panes [B,H,w] (gray) or [B,H,w,3] (color) side by side,
-    one row per sample, with sep-wide separators between panes and rows.
+    one row per sample, with 1px black separators between panes and rows.
     Gray panes next to a color one are repeated over its three channels."""
     if not panes:
         raise ShapeError("no panes")
@@ -64,14 +64,14 @@ def grid(panes, sep=1, sep_value=0):
     if any(p.shape[:2] != (b, h) for p in panes):
         raise ShapeError("pane heights differ")
     color = any(p.ndim == 4 for p in panes)
-    width = sum(p.shape[2] for p in panes) + sep * (len(panes) - 1)
-    canvas = np.full((b, h + sep, width) + ((3,) if color else ()), sep_value, dtype=np.uint8)
+    width = sum(p.shape[2] for p in panes) + len(panes) - 1
+    canvas = np.zeros((b, h + 1, width) + ((3,) if color else ()), dtype=np.uint8)
     x = 0
     for p in panes:
         w = p.shape[2]
         canvas[:, :h, x : x + w] = p[..., None] if color and p.ndim == 3 else p
-        x += w + sep
-    return canvas.reshape(b * (h + sep), *canvas.shape[2:])[: b * (h + sep) - sep]
+        x += w + 1
+    return canvas.reshape(b * (h + 1), *canvas.shape[2:])[: b * (h + 1) - 1]
 
 
 def reconstruction_grid(inputs, recons):

@@ -9,10 +9,11 @@ Every layer exposes four operations:
 
 The reverse path reuses the forward parameters: a Dense layer reverses
 through W^T, a Conv layer through the transposed convolution with the same
-kernel, so reconstruction-loss gradients land in the same W and b buffers
-as classification gradients (tied weights). Parameterized layers add the
-*previous* parameterized layer's bias on the reverse step; the network
-wires that up and routes the resulting "b_prev" gradient to its owner.
+kernel, so reconstruction-loss gradients land in the same W buffers as
+classification gradients (tied weights). Every op reads only its own
+layer's parameters and caches: the reverse step's bias, which belongs to
+the *previous* parameterized layer, is added and differentiated by the
+network that chains the layers (see network.py).
 
 reverse_backward is the adjoint of reverse: it propagates an upstream
 gradient arriving at the reconstruction back toward the likelihood end of
@@ -68,21 +69,6 @@ class Layer:
     # the four ops take out= and can write their result into their input
     takes_out = False
 
-    def out_shape_for(self, in_shape):
-        raise NotImplementedError
-
-    def forward(self, x):
-        raise NotImplementedError
-
-    def backward(self, g, cache):
-        raise NotImplementedError
-
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
-        raise NotImplementedError
-
-    def reverse_backward(self, g, rcache):
-        raise NotImplementedError
-
     def init_params(self, rng, dtype):
         pass
 
@@ -94,34 +80,12 @@ class Layer:
         return self.token()
 
 
-def _add_bias_prev(y, bias_prev):
-    """Add the previous layer's bias to the fresh array y in place,
-    broadcasting per channel for maps."""
-    if bias_prev is None:
-        return y
-    if y.ndim == 4:
-        if bias_prev.size != y.shape[1]:
-            raise ShapeError(f"bias_prev has {bias_prev.size} entries, map has {y.shape[1]} channels")
-        y += bias_prev.reshape(1, -1, 1, 1)
-        return y
-    if bias_prev.size != y.shape[-1]:
-        raise ShapeError(f"bias_prev has {bias_prev.size} entries, vector has {y.shape[-1]}")
-    y += bias_prev
-    return y
-
-
-def _bias_prev_grad(g):
-    if g.ndim == 4:
-        return g.sum(axis=(0, 2, 3))
-    return g.sum(axis=0)
-
-
 class Dense(Layer):
     """Affine map x @ W + b. Inputs of rank > 2 are flattened per sample.
 
-    Reverse: v @ W^T (+ previous bias), un-flattened to the recorded input
-    shape so a Dense sitting on top of a conv stack reverses back into the
-    feature-map geometry.
+    Reverse: v @ W^T, un-flattened to the recorded input shape so a Dense
+    sitting on top of a conv stack reverses back into the feature-map
+    geometry.
     """
 
     kind = "dense"
@@ -169,27 +133,22 @@ class Dense(Layer):
         gx = (g @ self.W.T).reshape(xshape)
         return gx, grads
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
+    def reverse(self, v, trace_entry=None, rcfg=None):
         if v.shape[-1] != self.out_features:
             raise ShapeError(f"dense reverse expects {self.out_features} values, got {v.shape[-1]}")
-        y = (v @ self.W.T).reshape(v.shape[0], *self.in_shape)
-        y = _add_bias_prev(y, bias_prev)
-        return y, (v, bias_prev is not None)
+        return (v @ self.W.T).reshape(v.shape[0], *self.in_shape), v
 
     def reverse_backward(self, g, rcache):
-        v, had_bias = rcache
+        v = rcache
         g2 = g.reshape(g.shape[0], -1)
-        grads = {"W": g2.T @ v}
-        if had_bias:
-            grads["b_prev"] = _bias_prev_grad(g)
-        return g2 @ self.W, grads
+        return g2 @ self.W, {"W": g2.T @ v}
 
 
 class Conv(Layer):
     """2-D convolution (cross-correlation) with square kernel.
 
-    Reverse: transposed convolution with the same kernel (+ previous bias),
-    the exact adjoint of the forward linear part.
+    Reverse: transposed convolution with the same kernel, the exact adjoint
+    of the forward linear part.
 
     reverse(v, up=w) is the reverse of w-times nearest-neighbour upsampling
     followed by this layer's reverse, for a stride-1 conv: upsampling
@@ -257,21 +216,17 @@ class Conv(Layer):
             raise ShapeError(f"only a stride-1 conv takes up=, this one has stride {self.stride}")
         return _box_sum(self.W, up), up
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, up=1):
+    def reverse(self, v, trace_entry=None, rcfg=None, up=1):
         kernel, stride = self._reverse_kernel(up)
-        y = tensor.conv2d_transposed(v, kernel, stride, self.pad)
-        y = _add_bias_prev(y, bias_prev)
-        return y, (v, bias_prev is not None, up)
+        return tensor.conv2d_transposed(v, kernel, stride, self.pad), (v, up)
 
     def reverse_backward(self, g, rcache):
-        v, had_bias, up = rcache
+        v, up = rcache
         kernel, stride = self._reverse_kernel(up)
         # adjoint of the transposed conv is the forward conv; the kernel
         # gradient swaps the input/upstream roles of the forward formula
         gk = tensor.conv2d_weight_grad(g, v, kernel.shape, stride, self.pad)
         grads = {"W": gk if up == 1 else _box_fold(gk, up, self.k)}
-        if had_bias:
-            grads["b_prev"] = _bias_prev_grad(g)
         gv = tensor.conv2d(g, kernel, stride, self.pad)
         return gv, grads
 
@@ -334,7 +289,7 @@ class LeakyRelu(Layer):
     def backward(self, g, cache, out=None):
         return _scale_negatives(g, cache, g.dtype.type(self.slope), out), None
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, out=None):
+    def reverse(self, v, trace_entry=None, rcfg=None, out=None):
         mode = rcfg.activation if rcfg is not None else "inverse"
         s = v.dtype.type(self.slope)
         mask = v >= 0
@@ -385,13 +340,6 @@ class MaxPool(Layer):
     those masks as g*mask, so off the maxima they write g*0: a zero with
     g's sign, or NaN where g is infinite, which keeps a non-finite
     gradient non-finite.
-
-    reverse(v, fold=True), in upsample mode, hands v on unchanged: the
-    network passes it when the upsampling is folded into the reverse of the
-    stride-1 Conv below (Conv.reverse's up=), and LeakyRelus in between run
-    on the small map, since an elementwise map commutes with nearest
-    upsampling. Its rcache marks the fold, and reverse_backward then hands
-    g on unchanged too.
     """
 
     kind = "maxpool"
@@ -442,12 +390,8 @@ class MaxPool(Layer):
         xshape, masks = cache
         return self._scatter(g, masks, xshape), None
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None, fold=False):
+    def reverse(self, v, trace_entry=None, rcfg=None):
         mode = rcfg.pool if rcfg is not None else "upsample"
-        if fold:
-            if mode != "upsample":
-                raise DomainError("only the upsampling reverse folds into a conv")
-            return v, ("fold", None)
         if mode == "unpool":
             if trace_entry is None:
                 raise StateError("index unpooling needs the forward trace")
@@ -462,8 +406,6 @@ class MaxPool(Layer):
 
     def reverse_backward(self, g, rcache):
         mode, masks = rcache
-        if mode == "fold":
-            return g, None
         views = self._views(g)
         if mode == "unpool":
             gv = views[0] * masks[0]
@@ -501,7 +443,7 @@ class SoftmaxHead(Layer):
         dot = (g * o).sum(axis=-1, keepdims=True)
         return o * (g - dot), None
 
-    def reverse(self, v, bias_prev=None, trace_entry=None, rcfg=None):
+    def reverse(self, v, trace_entry=None, rcfg=None):
         if np.any(v < -1e-9):
             raise DomainError("inverse softmax: negative likelihood entries")
         clamped = np.maximum(v, v.dtype.type(SOFTMAX_CLAMP))

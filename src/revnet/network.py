@@ -15,9 +15,14 @@ Dense + head) share one forward walker, so the two agree bit-for-bit on
 shared inputs. backward_from_logits, one_step_adjoint and reverse_adjoint
 share one adjoint walker: it calls backward or reverse_backward over a
 span of layers and adds each parameter gradient into the per-layer
-accumulator acc[i][name], in place, routing the reverse step's "b_prev"
-gradient to the previous parameterized layer's bias. The momentum state
-for the update lives here too, in velocity[i][name].
+accumulator acc[i][name], in place. The momentum state for the update
+lives here too, in velocity[i][name].
+
+The rules that join two layers live here, not in the layers. The reverse
+of a parameterized layer adds the bias of the previous parameterized
+layer (per channel on maps): the reverse walker adds it to the layer's
+fresh output, and the adjoint walker adds its gradient, the channel sum of
+the upstream gradient that layer received, into that bias's entry of acc.
 
 Every walk leaves the arrays its caller passed in unchanged; the arrays
 made inside the walk are written in place where nothing else refers to
@@ -28,11 +33,12 @@ MaxPool reverses by nearest-neighbour upsampling, which LeakyRelu
 commutes with, and upsampling followed by a stride-1 transposed conv is
 one stride-w transposed conv with a box-summed kernel (Conv.reverse's
 up=). So where the next layer below a MaxPool that is not a LeakyRelu is a
-stride-1 Conv inside the reversed span, the pool hands its input on
-unchanged, the LeakyRelus run on the small map, and the conv reverses with
-up=window, at (k+w-1)^2/(w*k)^2 of the FLOPs (0.36 for k=5, w=2). Each pool's conv is found once, in
-__init__. Unpool mode, strided convs and pools with no such conv reverse
-one layer at a time.
+stride-1 Conv inside the reversed span, the walker does not call the pool:
+it marks the pool's reverse cache FOLDED, the LeakyRelus run on the small
+map, and the conv reverses with up=window, at (k+w-1)^2/(w*k)^2 of the
+FLOPs (0.36 for k=5, w=2); the adjoint walker skips a FOLDED layer. Each
+pool's conv is found once, in __init__. Unpool mode, strided convs and
+pools with no such conv reverse one layer at a time.
 """
 
 from dataclasses import dataclass, field
@@ -113,6 +119,10 @@ def transform_likelihood(o, cfg, rng):
     return out
 
 
+# the reverse cache of a MaxPool folded into the conv below it
+FOLDED = "folded into the conv below"
+
+
 def _out(layer, v, owned):
     """out=v for a layer that can write its result into v, if the walk owns v."""
     return {"out": v} if owned and layer.takes_out else {}
@@ -139,7 +149,7 @@ class ReversibleNetwork:
             if isinstance(self.layers[i], Dense):
                 self.final_dense_idx = i
                 break
-        # bias on the reverse step comes from the previous parameterized layer
+        # the bias a layer's reverse adds: the previous parameterized layer's
         self._prev_param = [None] * len(self.layers)
         last = None
         for i, layer in enumerate(self.layers):
@@ -178,9 +188,6 @@ class ReversibleNetwork:
             raise ConfigError(f"final dense emits {out} values but class_count is {self.n_classes}")
         return self
 
-    def param_layers(self):
-        return [l for l in self.layers if l.has_params]
-
     def new_grad_acc(self):
         return [{} for _ in self.layers]
 
@@ -198,11 +205,12 @@ class ReversibleNetwork:
         its own output except SoftmaxHead, and SoftmaxHead is the last
         layer, so the last forward op. So the walk owns it, and hands it to
         a layer with takes_out (LeakyRelu) as out=, which writes its result
-        there. One op hands on the very array it got: a folded MaxPool
-        (see _reverse_span). It does not hand on ownership, so the reverse
-        and adjoint walkers keep an owned flag, set by the first op whose
-        output is not its input. The caller's x, o, latent and upstream
-        gradients, and every cache and trace entry, stay as they were."""
+        there. A folded MaxPool (see _reverse_span) is skipped, so the
+        array it would get goes on to the next op unchanged. That passes on
+        no ownership, so the reverse and adjoint walkers keep an owned
+        flag, set by the first op whose output is not its input. The
+        caller's x, o, latent and upstream gradients, and every cache and
+        trace entry, stay as they were."""
         caches = [None] * len(self.layers)
         alpha = None
         for i in range(lo, len(self.layers)):
@@ -215,26 +223,34 @@ class ReversibleNetwork:
     def _adjoint(self, g, order, op, caches, acc, free=False):
         """Walk the layers in `order`, calling each one's `op` ("backward"
         or "reverse_backward") on its cache and adding the parameter
-        gradients into acc; a "b_prev" gradient belongs to the previous
-        parameterized layer's bias. Returns the gradient at the span's end.
+        gradients into acc. A FOLDED layer is skipped. After a layer's own
+        reverse_backward gradients comes the gradient of the bias its
+        reverse added (see the module docstring). Returns the gradient at
+        the span's end.
 
         An entry of acc is the first gradient its layer made for it, and
         later ones are added into it in place; g is passed on as in
         _forward. With free, a caller that owns `caches` has each entry
-        set to None once its op has run, so the walk frees what it passed;
+        set to None as the walk reaches it, so the walk frees what it passed;
         otherwise the list is left as it was."""
         owned = False
         for i in order:
-            if caches[i] is None:
+            cache = caches[i]
+            if cache is None:
                 raise StateError(f"missing {op} cache for layer {i}")
-            layer = self.layers[i]
-            g_in = g
-            g, grads = getattr(layer, op)(g, caches[i], **_out(layer, g, owned))
             if free:
                 caches[i] = None
+            if cache is FOLDED:
+                continue
+            layer = self.layers[i]
+            g_in = g
+            g, grads = getattr(layer, op)(g, cache, **_out(layer, g, owned))
             owned = owned or g is not g_in
-            for name, val in (grads or {}).items():
-                j, name = (self._prev_param[i], "b") if name == "b_prev" else (i, name)
+            grads = [(i, name, val) for name, val in (grads or {}).items()]
+            j = self._prev_param[i]
+            if op == "reverse_backward" and j is not None:
+                grads.append((j, "b", g_in.sum(axis=(0, 2, 3) if g_in.ndim == 4 else 0)))
+            for j, name, val in grads:
                 if name in acc[j]:
                     acc[j][name] += val
                 else:
@@ -264,31 +280,31 @@ class ReversibleNetwork:
         v, passing arrays as _forward does.
 
         In upsample mode a MaxPool whose conv (self._fold_into) lies in
-        the span is folded: it reverses with fold=True, handing v on, and
-        its conv later with up=window. Every op after the first gets an
-        array the walk owns, except right after a folded pool that was the
-        first op, so ownership is a flag, not a position."""
+        the span is folded: it is not called, its cache is FOLDED, and its
+        conv later reverses with up=window. A parameterized layer's fresh
+        output gets the previous parameterized layer's bias added in place.
+        Every op after the first gets an array the walk owns, except right
+        after a folded pool at the span's start, so ownership is a flag,
+        not a position."""
         rcaches = [None] * len(self.layers)
         fold = self.rcfg.pool == "upsample"
         up = {}  # conv index -> window of the pool folded into it
         owned = False
         for i in range(hi - 1, lo - 1, -1):
             layer = self.layers[i]
-            bias_prev = None
-            if layer.has_params:
-                j = self._prev_param[i]
-                if j is not None:
-                    bias_prev = self.layers[j].b
-            entry = trace[i] if trace is not None else None
-            kw = _out(layer, v, owned)
             j = self._fold_into[i]
             if fold and j is not None and j >= lo:
-                kw, up[j] = {"fold": True}, layer.window
-            elif i in up:
-                kw = {"up": up.pop(i)}
-            v_in = v
-            v, rc = layer.reverse(v, bias_prev, entry, self.rcfg, **kw)
-            owned = owned or v is not v_in
+                up[j] = layer.window
+                rc = FOLDED
+            else:
+                kw = {"up": up.pop(i)} if i in up else _out(layer, v, owned)
+                v_in = v
+                v, rc = layer.reverse(v, trace[i] if trace is not None else None, self.rcfg, **kw)
+                owned = owned or v is not v_in
+                j = self._prev_param[i]
+                if j is not None:
+                    b = self.layers[j].b
+                    v += b.reshape(-1, 1, 1) if v.ndim == 4 else b
             if want_caches:
                 rcaches[i] = rc
         return (v, rcaches) if want_caches else v
@@ -352,7 +368,8 @@ class NetworkSpec:
     Tokens: conv:<c_out>:<k>[:<stride>[:<pad>]] | pool:<w> |
     lrelu[:<slope>] | dense:<out> | softmax. Input channels chain
     automatically; the final layer must be softmax and the dense layer
-    before it must emit class_count values.
+    before it must emit class_count values. A token whose layer cannot
+    be made, or does not fit the shape before it, is a ConfigError.
     """
 
     input_shape: tuple
@@ -381,9 +398,9 @@ class NetworkSpec:
                     layers.append(SoftmaxHead())
                 else:
                     raise ConfigError(f"unknown layer token {tok!r}")
-            except (IndexError, ValueError) as exc:
+                shape = layers[-1].out_shape_for(shape)
+            except (IndexError, ValueError, ShapeError, DomainError) as exc:
                 raise ConfigError(f"bad layer token {tok!r}: {exc}") from exc
-            shape = layers[-1].out_shape_for(shape)
         net = ReversibleNetwork(layers, self.input_shape, self.n_classes, rcfg=rcfg)
         net.validate_classifier()
         if rng is not None:

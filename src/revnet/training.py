@@ -294,14 +294,13 @@ def batch_order(n, batch_size, rng):
 
 
 def run_experiment(net, train_images, train_labels, test_images, test_labels,
-                   n_classes, cfg, out_dir=None, log=None, epoch_hook=None):
+                   n_classes, cfg, out_dir=None, log=None):
     """Epoch loop: per-step metric rows, evaluation at each epoch end,
     checkpoints at every lr drop and at the end. With cfg.augment each
     batch goes through data.augment first.
 
     Returns (rows, final_eval). out_dir, when given, receives metrics.csv
-    and checkpoint files; log, when given, gets one text line per epoch;
-    epoch_hook(epoch, net), when given, runs after each epoch's evaluation.
+    and checkpoint files; log, when given, gets one text line per epoch.
     """
     if train_images.shape[0] == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -346,8 +345,6 @@ def run_experiment(net, train_images, train_labels, test_images, test_labels,
             if log is not None:
                 log(f"epoch {epoch}: lr {lr_at(epoch, cfg):.8g} "
                     f"loss {rows[-1].report.total:.6g} test_err {final_eval[0]:.4f}%")
-            if epoch_hook is not None:
-                epoch_hook(epoch, net)
             if out_dir is not None and (epoch + 1) in cfg.lr_drop_epochs:
                 save_checkpoint(f"{out_dir}/checkpoint-epoch{epoch + 1:03d}.rvnt",
                                 net, extra={"epoch": epoch + 1, "step": step})

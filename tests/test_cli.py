@@ -30,6 +30,10 @@ FAST = [
 
 # a checkpoint header, given its input_shape, tokens and params
 HEADER = b'{"version": 1, "dtype": "float32", "input_shape": %s, "n_classes": 10, "tokens": %s, "params": %s}'
+# the header of FAST's net, with the first W's shape left open
+FAST_TOKENS = b'["dense:32", "lrelu", "dense:10", "softmax"]'
+FAST_PARAMS = (b'[{"layer": 0, "name": "W", "shape": %s}, {"layer": 0, "name": "b", "shape": [32]}, '
+               b'{"layer": 2, "name": "W", "shape": [32, 10]}, {"layer": 2, "name": "b", "shape": [10]}]')
 
 
 def train_cmd(out, extra=(), epochs=1):
@@ -232,6 +236,14 @@ class TestSettingsCheckedFirst:
         assert err.startswith("config error") and names in err
         assert not out.exists()
 
+    def test_architecture_that_does_not_fit_exits_2(self, tmp_path, capsys):
+        # a stride-2 conv whose stride does not divide 28 + 2 - 3
+        out = tmp_path / "x"
+        assert main(train_cmd(out, ["--override", "net.layers=conv:8:3:2:1,dense:10,softmax"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad layer token 'conv:8:3:2:1': stride 2")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["cifar10", "cifar100", "composed"])
     def test_missing_files_exit_3(self, tmp_path, capsys, kind):
         os.makedirs(tmp_path / "root" / "train")  # a composed split without manifest.json
@@ -358,6 +370,9 @@ class TestReconstructAndGenerate:
                                b'[{"layer": 0, "shape": [784, 10]}]'), id="param-without-name"),
         pytest.param(HEADER % (b'"abc"', b'["dense:10", "softmax"]', b'[]'), id="input-shape-abc"),
         pytest.param(HEADER % (b'[1, 28, 28]', b'["bogus"]', b'[]'), id="unknown-token"),
+        pytest.param(HEADER.replace(b'"version": 1', b'"version": 2') % (
+            b'[1, 28, 28]', FAST_TOKENS, FAST_PARAMS % b'[784, 32]'), id="version-2"),
+        pytest.param(HEADER % (b'[1, 28, 28]', FAST_TOKENS, FAST_PARAMS % b'[784, 31]'), id="wrong-shape"),
     ])
     def test_corrupt_checkpoint_header_exits_3(self, tmp_path, checkpoint, capsys, command, header):
         raw = open(checkpoint, "rb").read()

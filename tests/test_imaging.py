@@ -53,7 +53,7 @@ class TestPixelMapping:
 
 class TestStrips:
     def test_likelihood_strip_geometry(self):
-        strip = likelihood_strip(np.linspace(0, 1, 10), height=12, cell=8)
+        strip = likelihood_strip(np.linspace(0, 1, 10), height=12)
         assert strip.shape == (12, 80)
         # first cell dark, last cell bright, each cell constant
         assert np.all(strip[:, :8] == 0)
@@ -75,9 +75,10 @@ class TestStacking:
 
     def test_separator_value(self):
         a = np.full((2, 2, 2), 200, dtype=np.uint8)
-        out = grid([a, a], sep=1, sep_value=7)
-        assert np.all(out[:, 2] == 7)
-        assert np.all(out[2] == 7)
+        out = grid([a, a])
+        assert out.shape == (5, 5)
+        assert np.all(out[:, 2] == 0)
+        assert np.all(out[2] == 0)
         assert np.all(out[:2, :2] == 200)
 
     def test_gray_promoted_next_to_color(self):

@@ -16,7 +16,7 @@ from revnet.layers import (
     ReverseConfig,
     SoftmaxHead,
 )
-from revnet.network import ReversibleNetwork
+from revnet.network import FOLDED, ReversibleNetwork
 from revnet.training import TrainConfig, sgd_update
 
 H = 1e-5
@@ -154,18 +154,16 @@ def test_dense_reverse_gradients(trial):
     rng = np.random.default_rng(6000 + trial)
     layer, _ = make_dense(rng)
     v = rng.standard_normal((3, layer.out_features))
-    bias_prev = rng.standard_normal(layer.in_features)
     r = rng.standard_normal((3, layer.in_features))
 
     def value():
-        y, _ = layer.reverse(v, bias_prev)
+        y, _ = layer.reverse(v)
         return np.sum(y * r)
 
-    _, rcache = layer.reverse(v, bias_prev)
+    _, rcache = layer.reverse(v)
     gv, grads = layer.reverse_backward(r, rcache)
     assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
     assert rel_err(grads["W"], numeric_grad(value, layer.W)) < REL_TOL
-    assert rel_err(grads["b_prev"], numeric_grad(value, bias_prev)) < REL_TOL
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -174,18 +172,16 @@ def test_conv_reverse_gradients(trial):
     layer, x = make_conv(rng)
     out_shape = (2,) + layer.out_shape_for(x.shape[1:])
     v = rng.standard_normal(out_shape)
-    bias_prev = rng.standard_normal(layer.c_in)
     r = rng.standard_normal(x.shape)
 
     def value():
-        y, _ = layer.reverse(v, bias_prev)
+        y, _ = layer.reverse(v)
         return np.sum(y * r)
 
-    _, rcache = layer.reverse(v, bias_prev)
+    _, rcache = layer.reverse(v)
     gv, grads = layer.reverse_backward(r, rcache)
     assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
     assert rel_err(grads["W"], numeric_grad(value, layer.W)) < REL_TOL
-    assert rel_err(grads["b_prev"], numeric_grad(value, bias_prev)) < REL_TOL
 
 
 @pytest.mark.parametrize("mode", ["inverse", "forward"])
@@ -340,16 +336,16 @@ def test_conv_reverse_output_shape():
     assert y.shape == (2, 3, 10, 10)
 
 
-# -- the folded reverse: Conv.reverse(v, up=w) and MaxPool.reverse(fold=True)
+# -- the folded reverse: Conv.reverse(v, up=w) in place of a MaxPool's
 
 
-def unfused_reverse(layer, v, bias_prev, w):
+def unfused_reverse(layer, v, w):
     """w-times nearest upsampling, then the stride-1 reverse: the chain
     Conv.reverse(v, up=w) folds into one call. Returns (y, adjoint), with
     adjoint(g) -> (gv, grads)."""
     pool = MaxPool(w)
     u, prc = pool.reverse(v)
-    y, crc = layer.reverse(u, bias_prev)
+    y, crc = layer.reverse(u)
 
     def adjoint(g):
         gu, grads = layer.reverse_backward(g, crc)
@@ -371,9 +367,8 @@ def test_conv_folded_reverse_matches_unfused_chain(w, k, pad_of):
     layer = Conv(2, 3, k, 1, pad_of(k))
     layer.init_params(rng, np.float64)
     v = rng.standard_normal((2, 3, 3, 4))
-    bias_prev = rng.standard_normal(2)
-    y, rc = layer.reverse(v, bias_prev, up=w)
-    want, adjoint = unfused_reverse(layer, v, bias_prev, w)
+    y, rc = layer.reverse(v, up=w)
+    want, adjoint = unfused_reverse(layer, v, w)
     assert y.shape == want.shape
     assert rel_diff(y, want) <= 1e-12
     g = rng.standard_normal(y.shape)
@@ -383,14 +378,11 @@ def test_conv_folded_reverse_matches_unfused_chain(w, k, pad_of):
     assert rel_diff(gv, want_gv) <= 1e-12
     # the W gradient folded back from the box-summed kernel equals the one
     # computed on the upsampled map
-    assert set(grads) == set(want_grads) == {"W", "b_prev"}
-    for name in grads:
-        assert rel_diff(grads[name], want_grads[name]) <= 1e-12
-    # the adjoint identity <T U v, g> == <v, adj g> of the linear part
-    y0, rc0 = layer.reverse(v, up=w)
-    gv0, _ = layer.reverse_backward(g, rc0)
-    lhs, rhs = np.sum(y0 * g), np.sum(v * gv0)
-    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(y0) * np.abs(g))
+    assert set(grads) == set(want_grads) == {"W"}
+    assert rel_diff(grads["W"], want_grads["W"]) <= 1e-12
+    # the adjoint identity <T U v, g> == <v, adj g>
+    lhs, rhs = np.sum(y * g), np.sum(v * gv)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(y) * np.abs(g))
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -399,18 +391,55 @@ def test_conv_folded_reverse_gradients(trial):
     layer = Conv(2, 3, 3, 1, 1)
     layer.init_params(rng, np.float64)
     v = rng.standard_normal((2, 3, 2, 3))
-    bias_prev = rng.standard_normal(2)
     r = rng.standard_normal((2, 2, 4, 6))
 
     def value():
-        y, _ = layer.reverse(v, bias_prev, up=2)
+        y, _ = layer.reverse(v, up=2)
         return np.sum(y * r)
 
-    _, rcache = layer.reverse(v, bias_prev, up=2)
+    _, rcache = layer.reverse(v, up=2)
     gv, grads = layer.reverse_backward(r, rcache)
     assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
     assert rel_err(grads["W"], numeric_grad(value, layer.W)) < REL_TOL
-    assert rel_err(grads["b_prev"], numeric_grad(value, bias_prev)) < REL_TOL
+
+
+PREV_BIAS_STACKS = {
+    "dense-dense": (lambda: [Dense(5, 4), Dense(4, 3)], (5,)),
+    "conv-dense": (lambda: [Conv(2, 3, 3), Dense(3 * 4 * 4, 5)], (2, 4, 4)),
+    "conv-conv": (lambda: [Conv(2, 3, 3), Conv(3, 4, 3)], (2, 4, 4)),
+    # the pool folds into the upper conv, which reverses with up=2
+    "conv-conv-folded": (lambda: [Conv(2, 3, 3), Conv(3, 4, 3), MaxPool(2)], (2, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("trial", range(3))
+@pytest.mark.parametrize("stack", sorted(PREV_BIAS_STACKS))
+def test_previous_bias_reverse_gradients(stack, trial):
+    # the network adds layer 0's bias to layer 1's reverse, per channel on
+    # maps, and reverse_adjoint routes its gradient to layer 0
+    rng = np.random.default_rng(7200 + trial)
+    make, in_shape = PREV_BIAS_STACKS[stack]
+    net = ReversibleNetwork(make(), in_shape)
+    net.init_params(rng, np.float64)
+    for layer in net.layers:
+        if layer.has_params:
+            layer.b = rng.standard_normal(layer.b.shape)
+    v = rng.standard_normal((2,) + net.shapes[-1])
+    xbar, rcaches = net.feed_backward(v, want_caches=True)
+    assert (rcaches[-1] is FOLDED) == stack.endswith("folded")
+    r = rng.standard_normal(xbar.shape)
+
+    def value():
+        return np.sum(net.feed_backward(v) * r)
+
+    acc = net.new_grad_acc()
+    gv = net.reverse_adjoint(r, rcaches, acc)
+    assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
+    assert rel_err(acc[0]["b"], numeric_grad(value, net.layers[0].b)) < REL_TOL
+    for i in (0, 1):
+        assert rel_err(acc[i]["W"], numeric_grad(value, net.layers[i].W)) < REL_TOL
+    # no reverse adds the last parameterized layer's bias
+    assert "b" not in acc[1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -422,13 +451,12 @@ def test_conv_folded_reverse_same_bits_for_one_and_two_workers(monkeypatch, dtyp
     layer.init_params(rng, dtype)
     v = rng.standard_normal((5, 6, 4, 4)).astype(dtype)
     g = rng.standard_normal((5, 4, 8, 8)).astype(dtype)
-    bias_prev = rng.standard_normal(4).astype(dtype)
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(tensor, "_CONV_WORKERS", workers)
-        y, rc = layer.reverse(v, bias_prev, up=2)
+        y, rc = layer.reverse(v, up=2)
         gv, grads = layer.reverse_backward(g, rc)
-        results.append([a.tobytes() for a in (y, gv, grads["W"], grads["b_prev"])])
+        results.append([a.tobytes() for a in (y, gv, grads["W"])])
     assert results[0] == results[1]
 
 
@@ -439,15 +467,38 @@ def test_conv_reverse_up_needs_stride_one():
         layer.reverse(np.zeros((1, 3, 2, 2)), up=2)
 
 
-def test_maxpool_fold_hands_v_and_g_on():
-    layer = MaxPool(2)
-    v = np.arange(4.0).reshape(1, 1, 2, 2)
-    y, rc = layer.reverse(v, fold=True)
-    assert y is v
-    g = np.ones((1, 1, 2, 2))
-    assert layer.reverse_backward(g, rc)[0] is g
-    with pytest.raises(DomainError):
-        layer.reverse(v, rcfg=ReverseConfig(pool="unpool"), fold=True)
+def test_maxpool_fold_hands_v_and_g_on(monkeypatch):
+    # a pool folded into the conv below it is never called: the network
+    # marks its reverse cache FOLDED and hands v on to the conv, which
+    # reverses with up=window, and the adjoint hands g on unchanged
+    net = ReversibleNetwork([Conv(1, 2, 3), MaxPool(2)], (1, 4, 4))
+    net.init_params(np.random.default_rng(18), np.float64)
+    v = np.arange(8.0).reshape(1, 2, 2, 2)
+    want = net.layers[0].reverse(v, up=2)[0]
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a folded pool's op ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(MaxPool, "reverse", not_called)
+        m.setattr(MaxPool, "reverse_backward", not_called)
+        xbar, rcaches = net.feed_backward(v, want_caches=True)
+        assert rcaches[1] is FOLDED
+        assert xbar.tobytes() == want.tobytes()
+        g = np.ones((1, 2, 2, 2))
+        assert net.reverse_adjoint(g, rcaches, net.new_grad_acc(), lo=1) is g
+    # unpool mode reverses the pool itself
+    net.rcfg = ReverseConfig(pool="unpool")
+    _, _, trace = net.feed_forward(np.ones((1, 1, 4, 4)))
+    assert net.feed_backward(v, trace=trace, want_caches=True)[1][1] is not FOLDED
+
+
+@pytest.mark.parametrize("cls", [Dense, Conv, LeakyRelu, MaxPool, SoftmaxHead])
+def test_layer_defines_its_own_ops(cls):
+    # bench/tracing.py wraps each op it finds in vars(cls): an op inherited
+    # from a base class would not be traced
+    for op in ("forward", "backward", "reverse", "reverse_backward"):
+        assert op in vars(cls)
 
 
 def test_zero_upstream_gives_zero_grads():

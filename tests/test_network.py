@@ -10,6 +10,7 @@ from revnet.errors import ConfigError, DomainError, NumericError, ShapeError, St
 from revnet.layers import Conv, Dense, LeakyRelu, MaxPool, ReverseConfig, SoftmaxHead
 from revnet.network import (
     ARCHITECTURES,
+    FOLDED,
     NetworkSpec,
     ReversibleNetwork,
     TransformConfig,
@@ -215,8 +216,10 @@ class TestConstruction:
             spec.build()
 
     def test_malformed_token_rejected(self):
-        for tok in ("conv:abc:5", "conv", "pool", "dense"):
-            spec = NetworkSpec((1, 8, 8), 10, [tok, "dense:10", "softmax"])
+        # unparsable, out of range, or not fitting the shape before it
+        for tokens in (["conv:abc:5"], ["conv"], ["pool"], ["dense"], ["conv:0:3"], ["lrelu:0"],
+                       ["pool:3"], ["conv:3:3:2:1"], ["dense:10", "pool:2"]):
+            spec = NetworkSpec((1, 8, 8), 10, tokens + ["dense:10", "softmax"])
             with pytest.raises(ConfigError):
                 spec.build()
 
@@ -234,9 +237,10 @@ class TestConstruction:
     def test_init_determinism(self):
         a = small_cnn_spec((1, 16, 16), 10).build(np.random.default_rng(42))
         b = small_cnn_spec((1, 16, 16), 10).build(np.random.default_rng(42))
-        for la, lb in zip(a.param_layers(), b.param_layers()):
-            assert np.array_equal(la.W, lb.W)
-            assert np.array_equal(la.b, lb.b)
+        for la, lb in zip(a.layers, b.layers):
+            if la.has_params:
+                assert np.array_equal(la.W, lb.W)
+                assert np.array_equal(la.b, lb.b)
 
 
 class TestForwardAndTail:
@@ -409,13 +413,13 @@ class TestUpsamplingFold:
         x = np.random.default_rng(12).normal(size=(2, 1, 8, 8))
         o, _, trace = net.feed_forward(x)
         _, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
-        assert rcaches[1][0] == "fold"
+        assert rcaches[1] is FOLDED
         g = np.random.default_rng(13).normal(size=(2, 3, 4, 4))
         g0 = g.copy()
         got = net.reverse_adjoint(g, rcaches, net.new_grad_acc(), lo=1)
         assert_same(g, g0)
         want = g
-        for i in range(1, len(net.layers)):
+        for i in range(2, len(net.layers)):
             want = net.layers[i].reverse_backward(want, rcaches[i])[0]
         assert_same(got, want)
 
@@ -428,7 +432,7 @@ class TestUpsamplingFold:
         xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
         want_xbar, unfused = per_layer_reverse(net, o, trace)
         pools = [i for i, layer in enumerate(net.layers) if isinstance(layer, MaxPool)]
-        assert [rcaches[i][0] for i in pools] == ["fold", "fold"]
+        assert [rcaches[i] for i in pools] == [FOLDED, FOLDED]
         assert rel_diff(xbar, want_xbar) <= 1e-12
         g = np.random.default_rng(10).normal(size=xbar.shape)
         acc, want_acc = net.new_grad_acc(), net.new_grad_acc()
@@ -504,22 +508,30 @@ def assert_same(a, b):
 
 def per_layer_reverse(net, o, trace, kwargs=None):
     """feed_backward as one out-of-place reverse call per layer, layer i
-    with the keywords kwargs.get(i). Returns (xbar, rcaches)."""
+    with the keywords kwargs.get(i), or not called and cached as FOLDED
+    where that is None, plus the previous parameterized layer's bias.
+    Returns (xbar, rcaches)."""
     kwargs = kwargs or {}
     rcaches = [None] * len(net.layers)
     v = o
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        j = net._prev_param[i] if layer.has_params else None
-        v, rcaches[i] = layer.reverse(v, None if j is None else net.layers[j].b, trace[i], net.rcfg,
-                                      **kwargs.get(i, {}))
+        if kwargs.get(i, {}) is None:
+            rcaches[i] = FOLDED
+            continue
+        v, rcaches[i] = layer.reverse(v, trace[i], net.rcfg, **kwargs.get(i, {}))
+        j = net._prev_param[i]
+        if j is not None:
+            b = net.layers[j].b
+            v = v + (b.reshape(-1, 1, 1) if v.ndim == 4 else b)
     return v, rcaches
 
 
 def fold_kwargs(net):
     """The reverse keywords of the upsampling fold, found here from the
     rule: a MaxPool whose next layer below that is not a LeakyRelu is a
-    stride-1 Conv reverses with fold=True, and that conv with up=window."""
+    stride-1 Conv is not called (None), and that conv reverses with
+    up=window."""
     kwargs = {}
     if net.rcfg.pool != "upsample":
         return kwargs
@@ -529,7 +541,7 @@ def fold_kwargs(net):
             while j >= 0 and isinstance(net.layers[j], LeakyRelu):
                 j -= 1
             if j >= 0 and isinstance(net.layers[j], Conv) and net.layers[j].stride == 1:
-                kwargs[i], kwargs[j] = {"fold": True}, {"up": layer.window}
+                kwargs[i], kwargs[j] = None, {"up": layer.window}
     return kwargs
 
 
