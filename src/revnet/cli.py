@@ -96,6 +96,8 @@ def cmd_train(args, values, start):
     cfg, rcfg = settings_from(values, TrainConfig), settings_from(values, ReverseConfig)
     ncfg, dcfg = settings_from(values, NetConfig), settings_from(values, DataConfig)
     train, test = dcfg.load_pair()
+    if cfg.enable_generation:
+        cfg.transform.check_classes(train.class_count)
     spec = ncfg.spec(train.images.shape[1:], train.class_count)
     out_dir = typed(values, "out.dir")
     summary = []
@@ -159,6 +161,8 @@ def cmd_reconstruct(args, values, start):
 def cmd_generate(args, values, start):
     cfg = settings_from(values, TrainConfig)
     net, x, datasets = _load_net_and_batch(args, values)
+    if not args.bypass_transform:
+        cfg.transform.check_classes(net.shapes[-1][0])
     o, _, trace = net.feed_forward(x)
     if args.bypass_transform:
         tr = o.copy()

@@ -99,7 +99,8 @@ def load_idx_labels(path):
     return labels.astype(np.int64)
 
 
-def load_mnist_idx(images_path, labels_path, class_count=10):
+def load_mnist_idx(images_path, labels_path):
+    """An MNIST-style IDX image and label file pair, 10 classes."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -107,21 +108,7 @@ def load_mnist_idx(images_path, labels_path, class_count=10):
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    return LabeledDataset(images, labels, class_count)
-
-
-def write_idx_images(path, images_u8):
-    """images_u8: [n, H, W] uint8."""
-    n, h, w = images_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">4I", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(np.ascontiguousarray(images_u8, dtype=np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2I", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    return LabeledDataset(images, labels, 10)
 
 
 MNIST_FILES = {
@@ -193,8 +180,9 @@ def save_records(path, ds):
         fh.write(np.concatenate([lab, pix], axis=1).tobytes())
 
 
-def save_composed(out_dir, ds, profile=None, source_note=""):
-    """Records plus a sidecar manifest describing geometry and provenance."""
+def save_composed(out_dir, ds, profile, source_note):
+    """Records plus a sidecar manifest describing geometry, the profile
+    and its seed, and provenance."""
     os.makedirs(out_dir, exist_ok=True)
     rec_path = os.path.join(out_dir, "records.bin")
     save_records(rec_path, ds)
@@ -204,10 +192,9 @@ def save_composed(out_dir, ds, profile=None, source_note=""):
         "class_count": ds.class_count,
         "per_class": [int(v) for v in ds.class_counts()],
         "source": source_note,
+        "profile_counts": [int(v) for v in profile.counts],
+        "seed": profile.seed,
     }
-    if profile is not None:
-        manifest["profile_counts"] = [int(v) for v in profile.counts]
-        manifest["seed"] = profile.seed
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -257,17 +244,22 @@ def normalize_channelwise(ds, stats=None, mode="divide_mean"):
     return out, stats
 
 
-def augment(batch, rng, pad=4, flip_p=0.5):
-    """Per image: zero-pad by `pad`, crop back to the original size at a
-    uniform offset, then flip horizontally with probability flip_p. Draws
+CROP_PAD = 4
+FLIP_P = 0.5
+
+
+def augment(batch, rng):
+    """Per image: zero-pad by CROP_PAD, crop back to the original size at a
+    uniform offset, then flip horizontally with probability FLIP_P. Draws
     two offsets and one coin per image in batch order."""
     b, c, h, w = batch.shape
+    pad = CROP_PAD
     padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.empty_like(batch)
     for i in range(b):
         dy, dx = rng.integers(0, 2 * pad + 1, size=2)
         img = padded[i, :, dy:dy + h, dx:dx + w]
-        if rng.random() < flip_p:
+        if rng.random() < FLIP_P:
             img = img[:, :, ::-1]
         out[i] = img
     return out
@@ -367,19 +359,21 @@ def _digit_template(d, size=28):
 # synthetic_digits keeps at most this many float64 noise values (64 KB)
 # alive, one block of images
 _NOISE_BLOCK = 8192
+# each synthetic digit is its template rolled by up to this many pixels
+JITTER = 2
 
 
-def synthetic_digits(n_per_class, seed=0, size=28, noise=0.1, jitter=2):
+def synthetic_digits(n_per_class, seed=0, size=28, noise=0.1):
     """Seven-segment digit images with per-sample jitter and pixel noise.
     Returns a LabeledDataset with 10 classes, images [n,1,size,size].
 
     The draws fix the bytes for a seed. Images come in class order
     (n_per_class of digit 0, then of digit 1, ...), and each image draws
-    one jitter pair (dy, dx) = rng.integers(-jitter, jitter + 1, size=2)
-    if jitter, then one noise field z of size*size standard normals if
-    noise. The image is its template rolled by dy rows and dx columns,
-    plus float32(noise * z), clipped to [0, 1]. Only the draws run per
-    image; the roll, the noise, the add and the clip run per block.
+    one jitter pair (dy, dx) = rng.integers(-JITTER, JITTER + 1, size=2),
+    then one noise field z of size*size standard normals if noise. The
+    image is its template rolled by dy rows and dx columns, plus
+    float32(noise * z), clipped to [0, 1]. Only the draws run per image;
+    the roll, the noise, the add and the clip run per block.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     templates = np.stack([_digit_template(d, size) for d in range(10)])
@@ -390,13 +384,12 @@ def synthetic_digits(n_per_class, seed=0, size=28, noise=0.1, jitter=2):
     # its [r, c] is t[(r + a) % size, (c + b) % size]
     windows = sliding_window_view(np.tile(templates, (1, 2, 2)), (size, size), axis=(1, 2))
     block = max(1, min(n, _NOISE_BLOCK // (size * size)))
-    shifts = np.zeros((block, 2), dtype=np.int64)
+    shifts = np.empty((block, 2), dtype=np.int64)
     z = np.empty((block, size, size)) if noise else None
     for lo in range(0, n, block):
         m = min(block, n - lo)
         for j in range(m):
-            if jitter:
-                shifts[j] = rng.integers(-jitter, jitter + 1, size=2)
+            shifts[j] = rng.integers(-JITTER, JITTER + 1, size=2)
             if noise:
                 rng.standard_normal(out=z[j])
         start = -shifts[:m] % size

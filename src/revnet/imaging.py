@@ -112,24 +112,3 @@ def save_image(path, arr):
         fh.write(magic + b"\n" + f"{w} {h}".encode() + b"\n255\n")
         fh.write(np.ascontiguousarray(arr).tobytes())
     return path
-
-
-def load_image(path):
-    """Reads back the subset of PNM this module writes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] not in (b"P5", b"P6"):
-        raise FormatError(f"{path}: not a binary PGM/PPM written by this tool")
-    try:
-        w, h = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PNM header") from exc
-    if maxval != 255:
-        raise FormatError(f"{path}: maxval {maxval} unsupported")
-    depth = 3 if parts[0] == b"P6" else 1
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * depth)
-    if depth == 1:
-        return data.reshape(h, w)
-    return data.reshape(h, w, 3)

@@ -85,14 +85,18 @@ class TransformConfig:
         if not 0.0 <= self.boost_factor <= 1.0:
             raise ConfigError("transform boost_factor must be in [0,1]")
 
+    def check_classes(self, n):
+        """ConfigError unless n classes leave boost_count to choose from."""
+        if self.boost_count >= n:
+            raise ConfigError(f"boost_count {self.boost_count} must be < class count {n}")
+
 
 def transform_likelihood(o, cfg, rng):
     """A copy of o with cfg.boost_count entries per row boosted, divided in
     place by its row sums if cfg.renormalize. The picks do not depend on
     cfg.renormalize."""
     n = o.shape[1]
-    if cfg.boost_count >= n:
-        raise ConfigError(f"boost_count {cfg.boost_count} must be < class count {n}")
+    cfg.check_classes(n)
     out = o.copy()
     top = o.argmax(axis=1)
     boost = o.dtype.type(cfg.boost_factor) * o.max(axis=1)

@@ -83,6 +83,9 @@ class TrainConfig:
         self.lr_drop_epochs = drops
         if self.gen_target not in ("label", "transformed"):
             raise ConfigError("gen_target must be label|transformed")
+        for name in ("weight_decay", "warmup_epochs", "w_cls", "w_rec", "w_gen", "clip_grad_norm"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 def lr_at(epoch, cfg):

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from file_formats import load_image, write_idx_images, write_idx_labels
 from reference_trainer import PlainMlpTrainer
 from revnet import training
 from revnet.cli import main as cli_main
@@ -34,11 +35,9 @@ from revnet.data import (
     load_mnist_split,
     normalize_channelwise,
     save_records,
-    write_idx_images,
-    write_idx_labels,
 )
 from revnet.errors import DataError
-from revnet.imaging import load_image, save_image
+from revnet.imaging import save_image
 from revnet.layers import (
     Conv,
     Dense,

@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
+from file_formats import write_idx_images, write_idx_labels
 import revnet
-from revnet import tensor
+from revnet import cli, tensor
 from revnet.cli import main
-from revnet.data import DataConfig, load_composed, write_idx_images, write_idx_labels
+from revnet.data import DataConfig, load_composed
 
 FAST = [
     "--override", "data.n_per_class=6",
@@ -223,6 +224,7 @@ class TestSettingsCheckedFirst:
         ("net.layers=", "net.layers"),
         ("train.epochs=0", "epochs"),
         ("train.lr_drop_factor=-0.1", "lr_drop_factor"),
+        ("train.clip_grad_norm=-1", "clip_grad_norm"),
     ])
     def test_bad_setting_exits_before_loading(self, tmp_path, capsys, monkeypatch,
                                               override, names):
@@ -242,6 +244,18 @@ class TestSettingsCheckedFirst:
         assert main(train_cmd(out, ["--override", "net.layers=conv:8:3:2:1,dense:10,softmax"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad layer token 'conv:8:3:2:1': stride 2")
+        assert not out.exists()
+
+    def test_boost_count_without_enough_classes_exits_2(self, tmp_path, capsys, monkeypatch):
+        # generation is on, and 10 classes leave no 10 entries to boost
+        # besides the argmax: no directory is made and no step is trained
+        def run(*args, **kwargs):
+            raise AssertionError("training started before boost_count was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        out = tmp_path / "x"
+        assert main(train_cmd(out, ["--override", "transform.boost_count=10"])) == 2
+        assert capsys.readouterr().err == "config error: boost_count 10 must be < class count 10\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["cifar10", "cifar100", "composed"])
@@ -344,6 +358,19 @@ class TestReconstructAndGenerate:
         for row in rows[1:]:
             total = sum(float(v) for v in row[2:])
             assert total == pytest.approx(1.0, abs=1e-4)
+
+    def test_boost_count_checked_before_the_net_runs(self, tmp_path, capsys, monkeypatch,
+                                                     checkpoint):
+        def feed_forward(*args, **kwargs):
+            raise AssertionError("the net ran before boost_count was checked")
+
+        monkeypatch.setattr(revnet.ReversibleNetwork, "feed_forward", feed_forward)
+        out = tmp_path / "gen"
+        args = ["generate", "--checkpoint", checkpoint, "--out", str(out),
+                "--override", "transform.boost_count=10"] + FAST
+        assert main(args) == 2
+        assert capsys.readouterr().err == "config error: boost_count 10 must be < class count 10\n"
+        assert not out.exists()
 
     def test_bypass_transform_copies_o(self, tmp_path, checkpoint):
         out = tmp_path / "gen"

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from file_formats import load_image
 from revnet.errors import FormatError, ShapeError
 from revnet.imaging import (
     chw_pane,
     generation_grid,
     grid,
     likelihood_strip,
-    load_image,
     reconstruction_grid,
     save_image,
     to_u8,

@@ -55,21 +55,25 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.lr_drop_epochs == (20, 40, 60)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lr0=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(momentum=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(momentum=-0.1)
-        with pytest.raises(ConfigError):
-            TrainConfig(train_batch=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(lr_drop_epochs=(10, 10))
-        with pytest.raises(ConfigError):
-            TrainConfig(lr_drop_epochs=(20, 10))
-        with pytest.raises(ConfigError):
-            TrainConfig(gen_target="argmax")
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"lr0": 0.0}, "lr0"),
+        ({"momentum": 1.0}, "momentum"),
+        ({"momentum": -0.1}, "momentum"),
+        ({"train_batch": 0}, "batch sizes"),
+        ({"lr_drop_epochs": (10, 10)}, "lr_drop_epochs"),
+        ({"lr_drop_epochs": (20, 10)}, "lr_drop_epochs"),
+        ({"gen_target": "argmax"}, "gen_target"),
+        # a negative cap would silently turn clipping off, like 0
+        ({"clip_grad_norm": -1.0}, "clip_grad_norm"),
+        ({"weight_decay": -1e-4}, "weight_decay"),
+        ({"warmup_epochs": -1}, "warmup_epochs"),
+        ({"w_cls": -1.0}, "w_cls"),
+        ({"w_rec": -0.5}, "w_rec"),
+        ({"w_gen": -1e-3}, "w_gen"),
+    ])
+    def test_rejects_out_of_range(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_rejects_no_epochs(self, epochs):
