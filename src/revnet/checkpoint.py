@@ -1,14 +1,17 @@
 """Self-describing checkpoint files.
 
 Layout: 6-byte magic "RVNT1\\n", little-endian u32 header length, JSON
-header (architecture tokens, dtype, parameter shapes, free-form extra
-metadata), then the raw parameter buffers in header order, little-endian.
-The architecture is stored as the layer DSL so loading rebuilds the exact
-network without outside information.
+header (architecture tokens, dtype, parameter shapes in slot order,
+free-form extra metadata), then the bytes of net.params, little-endian,
+and nothing after them. The architecture is stored as the layer DSL so
+loading rebuilds the exact network without outside information. A save
+writes <path>.tmp, then renames it onto path, so path holds either the
+old file or the whole new one.
 """
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -40,31 +43,24 @@ def save_checkpoint(path, net, extra=None):
     dtype_name = np.dtype(net.dtype).name
     if dtype_name not in _DTYPES:
         raise StateError(f"unsupported parameter dtype {dtype_name}")
-    params = []
-    buffers = []
-    for i, layer in enumerate(net.layers):
-        if not layer.has_params:
-            continue
-        for name in ("W", "b"):
-            arr = getattr(layer, name)
-            params.append({"layer": i, "name": name, "shape": list(arr.shape)})
-            buffers.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype_name]))
     header = {
         "version": 1,
         "dtype": dtype_name,
         "input_shape": list(net.input_shape),
         "n_classes": net.n_classes,
         "tokens": [layer.token() for layer in net.layers],
-        "params": params,
+        "params": [{"layer": i, "name": name, "shape": list(shape)}
+                   for (i, name), (_, shape) in net.slots.items()],
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for buf in buffers:
-            fh.write(buf.tobytes())
+        fh.write(net.params.astype(_DTYPES[dtype_name], copy=False).tobytes())
+    os.replace(tmp, path)
     return path
 
 
@@ -101,7 +97,8 @@ def read_header(path):
 
 def load_checkpoint(path, rcfg=None):
     """Rebuilds the network and returns (net, extra_metadata). The file is
-    read once, and each parameter is a copy of its slice of those bytes."""
+    read once, and each stored parameter is copied into its slot of a
+    fresh net.params."""
     raw = read_file(path)
     header, offset = _parse_header(path, raw)
     dtype = _DTYPES[header["dtype"]]
@@ -110,9 +107,8 @@ def load_checkpoint(path, rcfg=None):
         net = spec.build(rcfg=rcfg)
     except ConfigError as exc:
         raise FormatError(f"{path}: the header's architecture does not build ({exc})") from exc
-    net.dtype = dtype.type
-    want = {(i, name): shape for i, layer in enumerate(net.layers) if layer.has_params
-            for name, shape in layer.param_shapes().items()}
+    net.adopt(np.empty(net.size, dtype.type))
+    want = {key: shape for key, (_, shape) in net.slots.items()}
     for rec in header["params"]:
         i, name, shape = rec["layer"], rec["name"], tuple(rec["shape"])
         implied = want.pop((i, name), None)
@@ -126,10 +122,11 @@ def load_checkpoint(path, rcfg=None):
         count = math.prod(shape)
         if len(raw) < offset + count * dtype.itemsize:
             raise FormatError(f"{path}: truncated at byte {offset}")
-        arr = np.frombuffer(raw, dtype, count, offset).reshape(shape).astype(net.dtype)
-        setattr(net.layers[i], name, arr)
+        net.view(net.params, i, name)[...] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
         offset += count * dtype.itemsize
     if want:
         missing = ", ".join(f"{name} of layer {i}" for i, name in sorted(want))
         raise FormatError(f"{path}: no stored values for {missing}")
+    if len(raw) > offset:
+        raise FormatError(f"{path}: {len(raw) - offset} bytes after the last parameter")
     return net, header.get("extra", {})

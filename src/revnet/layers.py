@@ -26,9 +26,11 @@ and write their result there. The network's walkers pass an op its own
 input as out when nothing else refers to that array (see
 ReversibleNetwork._forward); called directly, every op is out of place.
 
-Layers hold their parameters (W, b) but no optimizer state: momentum lives
-on the network and training.sgd_update applies the step. token() writes a
-layer back as its NetworkSpec DSL token, the form checkpoints store.
+Layers hold their parameters (W, b) but no optimizer state. In a network
+W and b are views of the network's flat parameter buffer, and
+training.sgd_update steps that whole buffer with a momentum buffer of the
+same layout. token() writes a layer back as its NetworkSpec DSL token,
+the form checkpoints store.
 """
 
 from dataclasses import dataclass
@@ -65,12 +67,19 @@ class ReverseConfig:
 
 class Layer:
     kind = "layer"
-    has_params = False
     # the four ops take out= and can write their result into their input
     takes_out = False
 
-    def init_params(self, rng, dtype):
-        pass
+    def param_shapes(self):
+        """{name: shape} of W and b, made by init_params or held by a network."""
+        return {}
+
+    def init_params(self, rng, dtype=tensor.SINGLE):
+        """He-normal W over the layer's fan-in, zero b."""
+        shapes = self.param_shapes()
+        if shapes:
+            self.W = tensor.gaussian_fill(shapes["W"], rng, 0.0, np.sqrt(2.0 / self.fan_in), dtype)
+            self.b = np.zeros(shapes["b"], dtype=dtype)
 
     def token(self):
         """The layer's canonical token in the NetworkSpec DSL."""
@@ -89,25 +98,15 @@ class Dense(Layer):
     """
 
     kind = "dense"
-    has_params = True
 
     def __init__(self, in_features, out_features):
         if in_features <= 0 or out_features <= 0:
             raise ShapeError("dense dims must be positive")
-        self.in_features = in_features
+        self.in_features = self.fan_in = in_features
         self.out_features = out_features
         self.in_shape = (in_features,)  # refined by the network builder
-        self.W = None
-        self.b = None
-
-    def init_params(self, rng, dtype=tensor.SINGLE):
-        std = np.sqrt(2.0 / self.in_features)
-        shapes = self.param_shapes()
-        self.W = tensor.gaussian_fill(shapes["W"], rng, 0.0, std, dtype)
-        self.b = np.zeros(shapes["b"], dtype=dtype)
 
     def param_shapes(self):
-        """{name: shape} of the parameters init_params makes."""
         return {"W": (self.in_features, self.out_features), "b": (self.out_features,)}
 
     def token(self):
@@ -161,7 +160,6 @@ class Conv(Layer):
     """
 
     kind = "conv"
-    has_params = True
 
     def __init__(self, c_in, c_out, k, stride=1, pad=None):
         if min(c_in, c_out, k, stride) <= 0:
@@ -171,18 +169,9 @@ class Conv(Layer):
         self.k = k
         self.stride = stride
         self.pad = k // 2 if pad is None else pad
-        self.W = None
-        self.b = None
-
-    def init_params(self, rng, dtype=tensor.SINGLE):
-        fan_in = self.c_in * self.k * self.k
-        std = np.sqrt(2.0 / fan_in)
-        shapes = self.param_shapes()
-        self.W = tensor.gaussian_fill(shapes["W"], rng, 0.0, std, dtype)
-        self.b = np.zeros(shapes["b"], dtype=dtype)
+        self.fan_in = c_in * k * k
 
     def param_shapes(self):
-        """{name: shape} of the parameters init_params makes."""
         return {"W": (self.c_out, self.c_in, self.k, self.k), "b": (self.c_out,)}
 
     def token(self):

@@ -14,9 +14,11 @@ feed_forward and one_step_forward (a latent pushed through the final
 Dense + head) share one forward walker, so the two agree bit-for-bit on
 shared inputs. backward_from_logits, one_step_adjoint and reverse_adjoint
 share one adjoint walker: it calls backward or reverse_backward over a
-span of layers and adds each parameter gradient into the per-layer
-accumulator acc[i][name], in place. The momentum state for the update
-lives here too, in velocity[i][name].
+span of layers and adds each parameter gradient into its slot of acc.
+
+The slot table (slots) gives each parameter an offset and shape in one
+flat layout, in checkpoint order (layer index, W, b), shared by params,
+whose views are the layers' W and b, by acc and by the momentum velocity.
 
 The rules that join two layers live here, not in the layers. The reverse
 of a parameterized layer adds the bias of the previous parameterized
@@ -41,6 +43,7 @@ pool's conv is found once, in __init__. Unpool mode, strided convs and
 pools with no such conv reverse one layer at a time.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,13 +156,17 @@ class ReversibleNetwork:
             if isinstance(self.layers[i], Dense):
                 self.final_dense_idx = i
                 break
-        # the bias a layer's reverse adds: the previous parameterized layer's
-        self._prev_param = [None] * len(self.layers)
-        last = None
+        # the slot table, (layer index, name) -> (offset, shape) in params,
+        # and the bias a layer's reverse adds: the previous parameterized layer's
+        self.slots, self.size, self._prev_param, last = {}, 0, [], None
         for i, layer in enumerate(self.layers):
-            if layer.has_params:
-                self._prev_param[i] = last
+            shapes = layer.param_shapes()
+            self._prev_param.append(last if shapes else None)
+            for name, shape in shapes.items():
+                self.slots[i, name] = (self.size, shape)
+                self.size += math.prod(shape)
                 last = i
+        self.params = self.velocity = None
         # the stride-1 Conv below each MaxPool, past any LeakyRelus, that
         # takes the pool's upsampling reverse (see _reverse_span)
         self._fold_into = [None] * len(self.layers)
@@ -170,17 +177,32 @@ class ReversibleNetwork:
                     j -= 1
                 if j >= 0 and isinstance(self.layers[j], Conv) and self.layers[j].stride == 1:
                     self._fold_into[i] = j
-        # momentum buffers, velocity[i][name], created by the first update
-        self.velocity = [{} for _ in self.layers]
 
     # -- construction -----------------------------------------------------
 
     def init_params(self, rng, dtype=tensor.SINGLE):
-        self.dtype = dtype
+        """Each layer's own draws, in layer order, copied into a fresh params."""
         for layer in self.layers:
             layer.init_params(rng, dtype)
-        self.velocity = [{} for _ in self.layers]
+        parts = [getattr(self.layers[i], name).ravel() for i, name in self.slots]
+        return self.adopt(np.concatenate([np.empty(0, dtype), *parts]))
+
+    def adopt(self, params):
+        """Make params the parameter buffer, each W and b a view of it, and
+        start the momentum over."""
+        self.params, self.dtype, self.velocity = params, params.dtype.type, None
+        for i, name in self.slots:
+            setattr(self.layers[i], name, self.view(params, i, name))
         return self
+
+    def view(self, buf, i, name):
+        """Parameter name of layer i in buf, of params' layout or a prefix."""
+        lo, shape = self.slots[i, name]
+        return buf[lo:lo + math.prod(shape)].reshape(shape)
+
+    def offset(self, i):
+        """Where the slots of layers[i:] start: those of layers[:i] are a prefix."""
+        return next((lo for (j, _), (lo, _) in self.slots.items() if j >= i), self.size)
 
     def validate_classifier(self):
         if not self.has_head:
@@ -191,9 +213,6 @@ class ReversibleNetwork:
         if self.n_classes is not None and out != self.n_classes:
             raise ConfigError(f"final dense emits {out} values but class_count is {self.n_classes}")
         return self
-
-    def new_grad_acc(self):
-        return [{} for _ in self.layers]
 
     # -- the two walkers --------------------------------------------------
 
@@ -232,11 +251,11 @@ class ReversibleNetwork:
         reverse added (see the module docstring). Returns the gradient at
         the span's end.
 
-        An entry of acc is the first gradient its layer made for it, and
-        later ones are added into it in place; g is passed on as in
-        _forward. With free, a caller that owns `caches` has each entry
-        set to None as the walk reaches it, so the walk frees what it passed;
-        otherwise the list is left as it was."""
+        acc is a buffer of params' layout, or a prefix of it that holds the
+        span's slots, and each gradient is added into its slot in place; g
+        is passed on as in _forward. With free, a caller that owns `caches`
+        has each entry set to None as the walk reaches it, so the walk frees
+        what it passed; otherwise the list is left as it was."""
         owned = False
         for i in order:
             cache = caches[i]
@@ -255,10 +274,8 @@ class ReversibleNetwork:
             if op == "reverse_backward" and j is not None:
                 grads.append((j, "b", g_in.sum(axis=(0, 2, 3) if g_in.ndim == 4 else 0)))
             for j, name, val in grads:
-                if name in acc[j]:
-                    acc[j][name] += val
-                else:
-                    acc[j][name] = val
+                slot = self.view(acc, j, name)
+                slot += val
         return g
 
     # -- forward ----------------------------------------------------------

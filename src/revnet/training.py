@@ -99,52 +99,51 @@ def lr_at(epoch, cfg):
 
 def sgd_update(net, acc, lr, cfg):
     """One momentum-SGD step over the whole net from the summed gradients
-    acc[i][name], with classic L2 weight decay:
+    acc, a buffer of net.params' layout, with classic L2 weight decay:
 
         v <- momentum*v - lr*(g + weight_decay*p);  p <- p + v
 
-    The step applies fully or not at all: every gradient is checked finite
-    (else NumericError) before anything is written. Then, if
-    cfg.clip_grad_norm > 0, the gradients are scaled down to that global
-    L2 norm. Every new velocity is computed and every new parameter checked
-    finite (else NumericError) before the first one is written. Velocity
-    lives in net.velocity[i][name], zero until first use. acc is only read.
+    The step applies fully or not at all: acc is checked finite (else
+    NumericError, naming the first parameter at fault) before anything is
+    written. Then, if cfg.clip_grad_norm > 0, it is scaled down to that
+    global L2 norm, whose float64 sum of squares is taken slot by slot. The
+    new velocity is computed and every new parameter checked finite (else
+    NumericError) before anything is written. net.velocity is None, read
+    as zero, until the first update. acc is only read.
 
-    Each parameter gets one new array, its velocity; the rest of the chain
-    runs block by block through one scratch block (tensor.blockwise), with
-    the same ops in the same order as on whole arrays, so the same bits.
+    The step makes one new buffer, the velocity; the rest of the chain runs
+    block by block through one scratch block (tensor.blockwise), with the
+    same ops in the same order as on whole arrays, so the same bits.
     """
-    for i, entry in enumerate(acc):
-        for name, g in entry.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient {name} of layer {i} ({net.layers[i]!r})")
-    scale = None
+    _require_finite(net, acc, "non-finite gradient {}")
+    f, scale = acc.dtype.type, None
     if cfg.clip_grad_norm > 0:
-        total = np.sqrt(sum(_sum_squares(g) for entry in acc for g in entry.values()))
+        total = np.sqrt(sum(_sum_squares(net.view(acc, *key)) for key in net.slots))
         if total > cfg.clip_grad_norm:
-            scale = cfg.clip_grad_norm / total
-    steps = []
-    for i, entry in enumerate(acc):
-        layer, vel = net.layers[i], net.velocity[i]
-        for name, g in entry.items():
-            p = getattr(layer, name)
-            f = g.dtype.type
-            wd, rate, g_scale = f(cfg.weight_decay), f(lr), None if scale is None else f(scale)
-            v = vel[name] * f(cfg.momentum) if name in vel else np.zeros_like(p)
+            scale = f(cfg.clip_grad_norm / total)
+    wd, rate = f(cfg.weight_decay), f(lr)
+    v = np.zeros_like(net.params) if net.velocity is None else net.velocity * f(cfg.momentum)
 
-            def block(vb, pb, gb, step, gs):
-                np.multiply(pb, wd, out=step)
-                step += gb if g_scale is None else np.multiply(gb, g_scale, out=gs)
-                step *= rate
-                vb -= step
-                if not np.all(np.isfinite(np.add(pb, vb, out=step))):
-                    raise NumericError(f"update makes parameter {name} of layer {i} ({layer!r}) non-finite")
+    def block(vb, pb, gb, step, gs):
+        np.multiply(pb, wd, out=step)
+        step += gb if scale is None else np.multiply(gb, scale, out=gs)
+        step *= rate
+        vb -= step
+        if not np.all(np.isfinite(np.add(pb, vb, out=step))):
+            # v is final through this block and finite past it
+            _require_finite(net, net.params + v, "update makes parameter {} non-finite")
 
-            tensor.blockwise(block, v, p, g, scratch=2)
-            steps.append((vel, name, v, p))
-    for vel, name, v, p in steps:
-        vel[name] = v
-        p += v
+    tensor.blockwise(block, v, net.params, acc, scratch=2)
+    net.velocity = v
+    net.params += v
+
+
+def _require_finite(net, a, message):
+    """NumericError(message) naming the first parameter whose slot of a, a
+    buffer of net.params' layout, is not finite."""
+    if not np.all(np.isfinite(a)):
+        i, name = next(key for key in net.slots if not np.all(np.isfinite(net.view(a, *key))))
+        raise NumericError(message.format(f"{name} of layer {i} ({net.layers[i]!r})"))
 
 
 def _sum_squares(g):
@@ -175,20 +174,20 @@ def _step_gradients(net, batch, cfg, rng, epoch):
     none of them is alive during the update.
 
     After the feed-forward the step runs two lanes (tensor.run_lanes),
-    which read only the forward output and write separate gradient sums:
-    the class lane (the class backward, then the generation chain) into
-    acc, and the reconstruction lane (feed-backward, then the adjoint of
-    its conv span, the layers below the first Dense) into a list of its
-    own. After the join that list is added into acc in layer order, and
-    the adjoint of the Dense span follows, on the caller, into acc. So
-    every gradient sums class, generation, reconstruction conv span,
-    reconstruction Dense span, in that order, for one conv worker and for
-    two. The class backward and the reconstruction adjoint free each trace
-    and cache entry they have passed."""
+    which read only the forward output and write separate zeroed gradient
+    sums: the class lane (the class backward, then the generation chain)
+    into acc, of net.params' layout, and the reconstruction lane
+    (feed-backward, then the adjoint of its conv span, the layers below the
+    first Dense) into the prefix of that layout that holds the span's slots.
+    After the join that prefix is added into acc's, and the adjoint of the
+    Dense span follows, on the caller, into acc. So every gradient sums
+    class, generation, reconstruction conv span, reconstruction Dense span,
+    in that order, for one conv worker and for two. The class backward and
+    the reconstruction adjoint free each trace and cache entry they pass."""
     x, labels = batch
     f = x.dtype.type
     target = one_hot(labels, net.layers[net.final_dense_idx].out_features, dtype=x.dtype)
-    acc = net.new_grad_acc()
+    acc = np.zeros_like(net.params)
 
     # feed-forward
     o, _, trace = net.feed_forward(x)
@@ -220,15 +219,13 @@ def _step_gradients(net, batch, cfg, rng, epoch):
     def reconstruction_lane():
         xbar, rcaches = net.feed_backward(o, trace=rtrace, want_caches=True)
         loss, g_rec = reconstruction_mse(xbar, x)
-        racc = net.new_grad_acc()
+        racc = np.zeros_like(net.params[:net.offset(split)])
         g = net.reverse_adjoint(f(cfg.w_rec) * g_rec, rcaches, racc, hi=split, free=True)
         return loss, g, rcaches, racc
 
     if cfg.enable_reverse_loss:
         _, (rep.rec, g, rcaches, racc) = tensor.run_lanes(class_lane, reconstruction_lane)
-        for entry, part in zip(acc, racc):
-            for name, val in part.items():
-                entry[name] += val  # the class backward made every entry
+        acc[:len(racc)] += racc
         # the Dense span's weight gradients, the step's largest transients,
         # stay off the helper: each thread's heap grows to its own high-water
         # mark, and the two marks add up in the peak RSS

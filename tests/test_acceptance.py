@@ -317,8 +317,8 @@ def test_criterion_2_reversibility():
         net = ReversibleNetwork(layers, (16,))
         net.init_params(np.random.default_rng(7), dtype=np.float64)
         for lay in layers:
-            lay.W = _orthogonal(16, rng)
-            lay.b = np.zeros_like(lay.b)
+            lay.W[...] = _orthogonal(16, rng)
+            lay.b[...] = 0
         x = rng.normal(size=(8, 16))
         o, _, trace = net.feed_forward(x)
         xbar = net.feed_backward(o, trace=trace)
@@ -355,7 +355,7 @@ def test_criterion_3_plain_sgd_parity():
         t0 = time.time()
         spec = NetworkSpec((64,), 10, ["dense:32", "lrelu", "dense:10", "softmax"])
         net = spec.build(np.random.default_rng(31), dtype=np.float64)
-        d1, d2 = (layer for layer in net.layers if layer.has_params)
+        d1, d2 = (layer for layer in net.layers if layer.param_shapes())
         ref = PlainMlpTrainer(d1.W, d1.b, d2.W, d2.b,
                               lr=0.05, momentum=0.9, weight_decay=1e-4)
         cfg = TrainConfig(lr0=0.05, lr_drop_epochs=(),

@@ -10,12 +10,13 @@ import pytest
 
 from revnet.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
 from revnet.errors import DataError, FormatError
-from revnet.layers import Conv, Dense, LeakyRelu, ReverseConfig
+from revnet.layers import Conv, Layer, LeakyRelu, ReverseConfig
 from revnet.network import NetworkSpec, ReversibleNetwork
+from test_network import assert_flat_layout
 
 
 def param_layers(net):
-    return [layer for layer in net.layers if layer.has_params]
+    return [layer for layer in net.layers if layer.param_shapes()]
 
 
 def build_net(dtype=np.float32, seed=3):
@@ -47,7 +48,17 @@ class TestRoundTrip:
             assert np.array_equal(a.W, b.W)
             assert a.W.dtype == b.W.dtype
             assert np.array_equal(a.b, b.b)
-        assert not any(loaded.velocity)
+        assert loaded.velocity is None
+        assert_flat_layout(loaded)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_body_is_the_parameter_buffer(self, tmp_path, dtype):
+        net = build_net(dtype=dtype)
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        assert raw[10 + hlen:] == net.params.astype(f"<f{net.params.itemsize}").tobytes()
 
     def test_forward_agreement(self, tmp_path):
         net = build_net()
@@ -95,6 +106,36 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestAtomicWrite:
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net(seed=3))
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(path, build_net(seed=4))
+        assert path.read_bytes() == old
+
+    def test_writes_beside_the_target_then_replaces_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.rvnt"
+        calls = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            calls.append((src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        save_checkpoint(path, build_net())
+        assert calls == [(f"{path}.tmp", path)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.rvnt"]
+        load_checkpoint(path)
+
+
 class TestOneRead:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_opens_once_and_draws_no_weights(self, tmp_path, monkeypatch, dtype):
@@ -113,7 +154,7 @@ class TestOneRead:
             inits.append(type(self).__name__)
 
         monkeypatch.setattr(builtins, "open", spy_open)
-        for cls in (ReversibleNetwork, Conv, Dense):
+        for cls in (ReversibleNetwork, Layer):
             monkeypatch.setattr(cls, "init_params", spy_init)
         loaded, _ = load_checkpoint(path)
         assert len(opened) == 1 and inits == []
@@ -168,6 +209,13 @@ class TestCorruption:
         save_checkpoint(path, net)
         path.write_bytes(path.read_bytes()[:-64])
         with pytest.raises(FormatError, match="truncated at byte"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_parameter(self, tmp_path):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net())
+        path.write_bytes(path.read_bytes() + bytes(13))
+        with pytest.raises(FormatError, match="13 bytes after the last parameter"):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):

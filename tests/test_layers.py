@@ -422,8 +422,8 @@ def test_previous_bias_reverse_gradients(stack, trial):
     net = ReversibleNetwork(make(), in_shape)
     net.init_params(rng, np.float64)
     for layer in net.layers:
-        if layer.has_params:
-            layer.b = rng.standard_normal(layer.b.shape)
+        if layer.param_shapes():
+            layer.b[...] = rng.standard_normal(layer.b.shape)
     v = rng.standard_normal((2,) + net.shapes[-1])
     xbar, rcaches = net.feed_backward(v, want_caches=True)
     assert (rcaches[-1] is FOLDED) == stack.endswith("folded")
@@ -432,14 +432,14 @@ def test_previous_bias_reverse_gradients(stack, trial):
     def value():
         return np.sum(net.feed_backward(v) * r)
 
-    acc = net.new_grad_acc()
+    acc = np.zeros_like(net.params)
     gv = net.reverse_adjoint(r, rcaches, acc)
     assert rel_err(gv, numeric_grad(value, v)) < REL_TOL
-    assert rel_err(acc[0]["b"], numeric_grad(value, net.layers[0].b)) < REL_TOL
+    assert rel_err(net.view(acc, 0, "b"), numeric_grad(value, net.layers[0].b)) < REL_TOL
     for i in (0, 1):
-        assert rel_err(acc[i]["W"], numeric_grad(value, net.layers[i].W)) < REL_TOL
+        assert rel_err(net.view(acc, i, "W"), numeric_grad(value, net.layers[i].W)) < REL_TOL
     # no reverse adds the last parameterized layer's bias
-    assert "b" not in acc[1]
+    assert not net.view(acc, 1, "b").any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -486,7 +486,7 @@ def test_maxpool_fold_hands_v_and_g_on(monkeypatch):
         assert rcaches[1] is FOLDED
         assert xbar.tobytes() == want.tobytes()
         g = np.ones((1, 2, 2, 2))
-        assert net.reverse_adjoint(g, rcaches, net.new_grad_acc(), lo=1) is g
+        assert net.reverse_adjoint(g, rcaches, np.zeros_like(net.params), lo=1) is g
     # unpool mode reverses the pool itself
     net.rcfg = ReverseConfig(pool="unpool")
     _, _, trace = net.feed_forward(np.ones((1, 1, 4, 4)))
@@ -515,17 +515,18 @@ def test_zero_upstream_gives_zero_grads():
 
 
 def scalar_net(w, b):
-    """A one-Dense-layer net with the 1x1 weight w and bias b."""
-    layer = Dense(1, 1)
-    layer.W = np.array([[w]])
-    layer.b = np.array([b])
-    return ReversibleNetwork([layer], (1,))
+    """A one-Dense-layer float64 net with the 1x1 weight w and bias b,
+    whose params and gradient buffers are [W, b]."""
+    net = ReversibleNetwork([Dense(1, 1)], (1,)).init_params(np.random.default_rng(0), np.float64)
+    net.layers[0].W[...] = w
+    net.layers[0].b[...] = b
+    return net
 
 
 def test_sgd_plain_step():
     net = scalar_net(0.0, 0.0)
     cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
-    sgd_update(net, [{"W": np.array([[3.0]]), "b": np.array([0.0])}], 1.0, cfg)
+    sgd_update(net, np.array([3.0, 0.0]), 1.0, cfg)
     assert net.layers[0].W[0, 0] == -3.0
 
 
@@ -534,19 +535,19 @@ def test_sgd_two_step_momentum_trace():
     # v1 = -0.05, p1 = 0.95; v2 = 0.9*(-0.05) - 0.05 = -0.095, p2 = 0.855
     net = scalar_net(1.0, 0.0)
     cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-    g = {"W": np.array([[0.5]]), "b": np.array([0.0])}
-    sgd_update(net, [g], 0.1, cfg)
+    g = np.array([0.5, 0.0])
+    sgd_update(net, g, 0.1, cfg)
     assert np.isclose(net.layers[0].W[0, 0], 0.95)
-    assert np.isclose(net.velocity[0]["W"][0, 0], -0.05)
-    sgd_update(net, [g], 0.1, cfg)
+    assert np.isclose(net.view(net.velocity, 0, "W")[0, 0], -0.05)
+    sgd_update(net, g, 0.1, cfg)
     assert np.isclose(net.layers[0].W[0, 0], 0.855)
-    assert np.isclose(net.velocity[0]["W"][0, 0], -0.095)
+    assert np.isclose(net.view(net.velocity, 0, "W")[0, 0], -0.095)
 
 
 def test_sgd_zero_grad_keeps_params():
     net = scalar_net(2.0, 1.0)
     cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-    sgd_update(net, [{"W": np.zeros((1, 1)), "b": np.zeros(1)}], 0.5, cfg)
+    sgd_update(net, np.zeros(2), 0.5, cfg)
     assert net.layers[0].W[0, 0] == 2.0
     assert net.layers[0].b[0] == 1.0
 
@@ -554,10 +555,10 @@ def test_sgd_zero_grad_keeps_params():
 def test_sgd_rejects_non_finite_grad():
     net = scalar_net(1.0, 0.0)
     cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-    with pytest.raises(NumericError):
-        sgd_update(net, [{"W": np.array([[np.inf]]), "b": np.zeros(1)}], 0.1, cfg)
+    with pytest.raises(NumericError, match="non-finite gradient W of layer 0"):
+        sgd_update(net, np.array([np.inf, 0.0]), 0.1, cfg)
     assert net.layers[0].W[0, 0] == 1.0
-    assert net.velocity == [{}]
+    assert net.velocity is None
 
 
 # -- bit-exactness oracles for the branch-free LeakyRelu and MaxPool -------

@@ -23,6 +23,23 @@ from revnet.network import (
 RAW = TransformConfig(renormalize=False)
 
 
+def assert_flat_layout(net):
+    """Every W and b is a view of net.params at its slot, in slot order
+    (layer index, then W, then b), and the slots tile the buffer."""
+    at = net.params.ctypes.data
+    for layer in net.layers:
+        for name in layer.param_shapes():
+            a = getattr(layer, name)
+            assert a.base is net.params and a.ctypes.data == at and a.flags.c_contiguous
+            at += a.nbytes
+    assert at == net.params.ctypes.data + net.params.nbytes
+
+
+def written(net, acc):
+    """The (layer index, name) slots of acc that hold a nonzero entry."""
+    return {key for key in net.slots if np.any(net.view(acc, *key))}
+
+
 def small_net(seed=0, rcfg=None):
     rng = np.random.default_rng(seed)
     return small_cnn_spec((1, 16, 16), 10).build(rng, rcfg=rcfg)
@@ -195,7 +212,7 @@ class TestConstruction:
 
     def test_prev_param_wiring(self):
         net = small_net()
-        param_idx = [i for i, l in enumerate(net.layers) if l.has_params]
+        param_idx = [i for i, l in enumerate(net.layers) if l.param_shapes()]
         assert net._prev_param[param_idx[0]] is None
         for a, b in zip(param_idx, param_idx[1:]):
             assert net._prev_param[b] == a
@@ -234,11 +251,34 @@ class TestConstruction:
         assert spec.tokens.count("pool:2") == 2
         assert sum(1 for t in spec.tokens if t.startswith("conv")) == 6
 
+    def test_slot_table(self):
+        net = small_cnn_spec((1, 16, 16), 10).build()
+        assert net.params is None and net.velocity is None
+        assert list(net.slots) == [(0, "W"), (0, "b"), (3, "W"), (3, "b"),
+                                   (6, "W"), (6, "b"), (8, "W"), (8, "b")]
+        assert net.slots[3, "W"] == (16 * 25 + 16, (32, 16, 5, 5))
+        assert net.size == sum(int(np.prod(shape)) for _, shape in net.slots.values())
+        assert [net.offset(i) for i in (0, 1, 3, 4, 6, 9, 10)] == [
+            0, 416, 416, 13248, 13248, net.size, net.size]
+        net.init_params(np.random.default_rng(0))
+        assert_flat_layout(net)
+        assert net.params.dtype == np.float32 and net.velocity is None
+
+    def test_init_draws_as_the_layers_do(self):
+        # the net's buffer holds what each layer's own init_params draws
+        net = small_net(seed=42)
+        rng = np.random.default_rng(42)
+        for layer in net.layers:
+            fresh = copy.copy(layer)
+            fresh.init_params(rng)
+            for name in layer.param_shapes():
+                assert np.array_equal(getattr(layer, name), getattr(fresh, name))
+
     def test_init_determinism(self):
         a = small_cnn_spec((1, 16, 16), 10).build(np.random.default_rng(42))
         b = small_cnn_spec((1, 16, 16), 10).build(np.random.default_rng(42))
         for la, lb in zip(a.layers, b.layers):
-            if la.has_params:
+            if la.param_shapes():
                 assert np.array_equal(la.W, lb.W)
                 assert np.array_equal(la.b, lb.b)
 
@@ -268,28 +308,22 @@ class TestForwardAndTail:
         net = small_net()
         x = np.random.default_rng(3).normal(size=(2, 1, 16, 16)).astype(np.float32)
         o, _, trace = net.feed_forward(x)
-        acc = net.new_grad_acc()
+        acc = np.zeros_like(net.params)
         g = net.backward_from_logits(o / o.shape[0], trace, acc)
         assert g.shape == x.shape
-        for layer, entry in zip(net.layers, acc):
-            if layer.has_params:
-                assert set(entry) == {"W", "b"}
-            else:
-                assert entry == {}
+        params = [i for i, l in enumerate(net.layers) if isinstance(l, (Conv, Dense))]
+        assert set(net.slots) == {(i, n) for i in params for n in "Wb"}
+        assert written(net, acc) == set(net.slots)
 
     def test_one_step_adjoint_fills_tail_only(self):
         net = small_net()
         x = np.random.default_rng(4).normal(size=(2, 1, 16, 16)).astype(np.float32)
         o, alpha, _ = net.feed_forward(x)
         o2, caches = net.one_step_forward(alpha, want_caches=True)
-        acc = net.new_grad_acc()
-        g = net.one_step_adjoint(o2 - o2, caches, acc)
+        acc = np.zeros_like(net.params)
+        g = net.one_step_adjoint(o2, caches, acc)
         assert g.shape == alpha.shape
-        for i, entry in enumerate(acc):
-            if i == net.final_dense_idx:
-                assert set(entry) == {"W", "b"}
-            else:
-                assert entry == {}
+        assert written(net, acc) == {(net.final_dense_idx, "W"), (net.final_dense_idx, "b")}
 
 
 class TestReversePaths:
@@ -356,17 +390,16 @@ class TestReversePaths:
         x = np.random.default_rng(9).normal(size=(2, 1, 16, 16)).astype(np.float32)
         o, _, trace = net.feed_forward(x)
         xbar, rcaches = net.feed_backward(o, trace=trace, want_caches=True)
-        acc = net.new_grad_acc()
+        acc = np.zeros_like(net.params)
         g_o = net.reverse_adjoint(np.ones_like(xbar), rcaches, acc)
         assert g_o.shape == o.shape
         # tied weights mean every parameterized layer sees a W gradient
-        for layer, entry in zip(net.layers, acc):
-            if layer.has_params:
-                assert "W" in entry
+        params = [i for i, l in enumerate(net.layers) if isinstance(l, (Conv, Dense))]
+        assert {(i, "W") for i in params} <= written(net, acc)
 
     def test_missing_cache_rejected(self):
         net = small_net()
-        acc = net.new_grad_acc()
+        acc = np.zeros_like(net.params)
         with pytest.raises(StateError):
             net.reverse_adjoint(
                 np.zeros((1, 1, 16, 16), dtype=np.float32),
@@ -416,7 +449,7 @@ class TestUpsamplingFold:
         assert rcaches[1] is FOLDED
         g = np.random.default_rng(13).normal(size=(2, 3, 4, 4))
         g0 = g.copy()
-        got = net.reverse_adjoint(g, rcaches, net.new_grad_acc(), lo=1)
+        got = net.reverse_adjoint(g, rcaches, np.zeros_like(net.params), lo=1)
         assert_same(g, g0)
         want = g
         for i in range(2, len(net.layers)):
@@ -435,13 +468,12 @@ class TestUpsamplingFold:
         assert [rcaches[i] for i in pools] == [FOLDED, FOLDED]
         assert rel_diff(xbar, want_xbar) <= 1e-12
         g = np.random.default_rng(10).normal(size=xbar.shape)
-        acc, want_acc = net.new_grad_acc(), net.new_grad_acc()
+        acc, want_acc = np.zeros_like(net.params), np.zeros_like(net.params)
         go = net.reverse_adjoint(g, rcaches, acc)
         assert rel_diff(go, net.reverse_adjoint(g, unfused, want_acc)) <= 1e-12
-        for entry, want in zip(acc, want_acc):
-            assert set(entry) == set(want)
-            for name in entry:
-                assert rel_diff(entry[name], want[name]) <= 1e-12
+        assert written(net, acc) == written(net, want_acc)
+        for key in net.slots:
+            assert rel_diff(net.view(acc, *key), net.view(want_acc, *key)) <= 1e-12
 
 
 def orthogonal(n, rng, dtype=np.float64):
@@ -458,8 +490,8 @@ class TestExactRoundTrip:
         net = ReversibleNetwork(layers, (widths[0],))
         net.init_params(np.random.default_rng(0), dtype=np.float64)
         for layer in layers:
-            layer.W = orthogonal(layer.W.shape[0], rng)
-            layer.b = np.zeros_like(layer.b)
+            layer.W[...] = orthogonal(layer.W.shape[0], rng)
+            layer.b[...] = 0
         return net
 
     def test_linear_orthogonal_round_trip(self):
@@ -476,8 +508,8 @@ class TestExactRoundTrip:
         net = ReversibleNetwork(layers, (12,), rcfg=ReverseConfig(activation="inverse"))
         net.init_params(np.random.default_rng(0), dtype=np.float64)
         for layer in (layers[0], layers[2]):
-            layer.W = orthogonal(12, rng)
-            layer.b = np.zeros_like(layer.b)
+            layer.W[...] = orthogonal(12, rng)
+            layer.b[...] = 0
         x = rng.normal(size=(6, 12))
         o, _, trace = net.feed_forward(x)
         xbar = net.feed_backward(o, trace=trace)
@@ -547,11 +579,7 @@ def fold_kwargs(net):
 
 def as_float64(net):
     """A float64 copy of net, the same parameters widened."""
-    twin = copy.deepcopy(net)
-    for layer in twin.layers:
-        if layer.has_params:
-            layer.W, layer.b = layer.W.astype(np.float64), layer.b.astype(np.float64)
-    return twin
+    return copy.deepcopy(net).adopt(net.params.astype(np.float64))
 
 
 def rel_diff(a, b):
@@ -633,16 +661,12 @@ class TestOwnership:
         g_logits = rng.normal(size=o.shape).astype(o.dtype)
         g_rec = rng.normal(size=xbar.shape).astype(xbar.dtype)
         saved = snapshot([g_logits, g_rec, trace, rcaches])
-        acc = net.new_grad_acc()
+        acc = np.zeros_like(net.params)
         gx = net.backward_from_logits(g_logits, trace, acc)
         go = net.reverse_adjoint(g_rec, rcaches, acc)
         assert_same([g_logits, g_rec, trace, rcaches], saved)
         # the in-place sums equal the sums of each walk's own gradients
-        acc_cls, acc_rec = net.new_grad_acc(), net.new_grad_acc()
+        acc_cls, acc_rec = np.zeros_like(net.params), np.zeros_like(net.params)
         assert_same(net.backward_from_logits(g_logits, trace, acc_cls), gx)
         assert_same(net.reverse_adjoint(g_rec, rcaches, acc_rec), go)
-        for entry, cls, rec in zip(acc, acc_cls, acc_rec):
-            assert set(entry) == set(cls) | set(rec)
-            for name, val in entry.items():
-                want = cls[name] + rec[name] if name in cls and name in rec else cls.get(name, rec.get(name))
-                assert_same(val, want)
+        assert_same(acc, acc_cls + acc_rec)

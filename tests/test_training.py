@@ -17,6 +17,7 @@ from revnet.errors import ConfigError, NumericError
 from revnet.layers import ReverseConfig
 from revnet.losses import cross_entropy, one_hot, reconstruction_mse
 from revnet.network import NetworkSpec, transform_likelihood
+from test_network import assert_flat_layout
 from revnet.training import (
     METRICS_COLUMNS,
     MetricsRow,
@@ -33,7 +34,7 @@ from revnet.training import (
 
 
 def param_layers(net):
-    return [layer for layer in net.layers if layer.has_params]
+    return [layer for layer in net.layers if layer.param_shapes()]
 
 
 def mlp(n_in=64, hidden=32, n_classes=10, seed=0, dtype=np.float64, rcfg=None):
@@ -334,8 +335,7 @@ class TestAllOrNothingUpdate:
     @staticmethod
     def state(net):
         params = [(l.W.tobytes(), l.b.tobytes()) for l in param_layers(net)]
-        vel = [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
-        return params, vel
+        return params, net.velocity.tobytes()
 
     @staticmethod
     def fill_last_grad(monkeypatch, net, value):
@@ -392,8 +392,9 @@ class TestAllOrNothingUpdate:
 
 
 def whole_array_update(params, velocity, acc, lr, cfg):
-    """The momentum step as it ran on whole arrays before it went block by
-    block: new (params, velocity), each [{name: array}] per layer."""
+    """The momentum step as it ran on whole arrays, one parameter at a
+    time, before it went block by block over flat buffers: new (params,
+    velocity), each [{name: array}] per layer."""
     if cfg.clip_grad_norm > 0:
         total = np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
                             for entry in acc for g in entry.values()))
@@ -425,24 +426,36 @@ class TestSgdUpdate:
         net = spec.build(np.random.default_rng(4), dtype=np.float32)
         cfg = TrainConfig(clip_grad_norm=clip, weight_decay=0.01, momentum=0.9)
         rng = np.random.default_rng(9)
+
+        def per_param(buf):
+            return [{n: net.view(buf, i, n).copy() for n in layer.param_shapes()}
+                    for i, layer in enumerate(net.layers)]
+
         for _ in range(2):  # the first step starts the velocity, the second reads it
-            acc = [{n: rng.normal(size=getattr(layer, n).shape).astype(np.float32)
-                    for n in (("W", "b") if layer.has_params else ())} for layer in net.layers]
-            acc_arrays = [dict(e) for e in acc]
-            acc_bytes = [{n: g.tobytes() for n, g in e.items()} for e in acc]
-            params = [{n: getattr(l, n).copy() for n in e} for l, e in zip(net.layers, acc)]
-            velocity = [{n: v.copy() for n, v in e.items()} for e in net.velocity]
-            want_params, want_vel = whole_array_update(params, velocity, acc, 0.05, cfg)
+            acc = rng.normal(size=net.size).astype(np.float32)
+            acc_bytes = acc.tobytes()
+            velocity = [{}] * len(net.layers) if net.velocity is None else per_param(net.velocity)
+            want_params, want_vel = whole_array_update(per_param(net.params), velocity,
+                                                       per_param(acc), 0.05, cfg)
             sgd_update(net, acc, 0.05, cfg)
-            assert [{n: g.tobytes() for n, g in e.items()} for e in acc] == acc_bytes
-            assert all(e[n] is a[n] for e, a in zip(acc, acc_arrays) for n in a)
-            assert [set(e) for e in acc] == [set(a) for a in acc_arrays]
-            got_params = [{n: getattr(l, n) for n in e} for l, e in zip(net.layers, acc)]
-            for got, want in ((got_params, want_params), (net.velocity, want_vel)):
+            assert acc.tobytes() == acc_bytes
+            assert_flat_layout(net)
+            for got, want in ((per_param(net.params), want_params), (per_param(net.velocity), want_vel)):
                 assert [{n: a.tobytes() for n, a in e.items()} for e in got] == \
                     [{n: a.tobytes() for n, a in e.items()} for e in want]
         if clip:  # clipping fired on both steps
-            assert sum(float(np.sum(np.square(g))) for e in acc for g in e.values()) > clip ** 2
+            assert float(np.sum(np.square(acc, dtype=np.float64))) > clip ** 2
+
+
+def test_steps_keep_the_flat_layout():
+    # the update writes through net.params, so the layers see every step,
+    # and a fresh init or load starts the momentum over
+    net, _ = lane_steps("small")
+    assert_flat_layout(net)
+    assert net.velocity.shape == net.params.shape and net.velocity.any()
+    net.init_params(np.random.default_rng(0))
+    assert_flat_layout(net)
+    assert net.velocity is None
 
 
 class TestSaturatedStep:
@@ -518,7 +531,7 @@ def lane_steps(arch, pool="upsample", steps=3, **overrides):
 def net_state(net):
     """The bytes of every parameter and velocity."""
     params = [(l.W.tobytes(), l.b.tobytes()) for l in param_layers(net)]
-    return params, [{k: v.tobytes() for k, v in e.items()} for e in net.velocity]
+    return params, net.velocity.tobytes()
 
 
 def lane_result(net, reports):
@@ -533,7 +546,7 @@ def single_lane_walks(net, batch, cfg, rng, accs):
     """One rn step's gradient walks through the public walkers, in the order
     of the step before it ran two lanes: the class backward, the whole
     reconstruction adjoint, then the generation chain's two walks, walk k
-    adding into accs[k]. With one list four times over, that is the sum
+    adding into accs[k]. With one buffer four times over, that is the sum
     that step made."""
     x, labels = batch
     f = x.dtype.type
@@ -672,16 +685,13 @@ class TestLanes:
         for seed in range(10):
             net = lane_net(arch, pool, seed)
             batch = lane_batch(arch, np.random.default_rng(seed))
-            want, terms = net.new_grad_acc(), [net.new_grad_acc() for _ in range(4)]
+            want, terms = np.zeros_like(net.params), [np.zeros_like(net.params) for _ in range(4)]
             single_lane_walks(net, batch, cfg, np.random.default_rng(seed), [want] * 4)
             single_lane_walks(net, batch, cfg, np.random.default_rng(seed), terms)
             got = _step_gradients(net, batch, cfg, np.random.default_rng(seed), 0)[2]
-            assert [set(e) for e in got] == [set(e) for e in want]
-            for i, entry in enumerate(got):
-                for name, g in entry.items():
-                    size = sum(np.abs(t[i][name]) for t in terms if name in t[i])
-                    bound = GRADIENT_ORDER_ULPS * 2.0 ** -24 * size
-                    assert np.all(np.abs(g - want[i][name]) <= bound), (arch, pool, seed, i, name)
+            bound = GRADIENT_ORDER_ULPS * 2.0 ** -24 * sum(np.abs(t) for t in terms)
+            ok = np.abs(got - want) <= bound
+            assert ok.all(), (arch, pool, seed, [key for key in net.slots if not net.view(ok, *key).all()])
 
 
 class TestDescent:
