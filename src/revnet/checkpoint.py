@@ -6,9 +6,10 @@ free-form extra metadata), then the bytes of net.params, little-endian,
 and nothing after them. The architecture is stored as the layer DSL so
 loading rebuilds the exact network without outside information. A save
 writes <path>.tmp, then renames it onto path, so path holds either the
-old file or the whole new one.
+old file or the whole new one; a save that fails removes <path>.tmp.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -55,12 +56,17 @@ def save_checkpoint(path, net, extra=None):
     }
     blob = json.dumps(header, sort_keys=True).encode()
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(net.params.astype(_DTYPES[dtype_name], copy=False).tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(net.params.astype(_DTYPES[dtype_name], copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 

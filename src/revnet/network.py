@@ -41,6 +41,19 @@ map, and the conv reverses with up=window, at (k+w-1)^2/(w*k)^2 of the
 FLOPs (0.36 for k=5, w=2); the adjoint walker skips a FOLDED layer. Each
 pool's conv is found once, in __init__. Unpool mode, strided convs and
 pools with no such conv reverse one layer at a time.
+
+The forward walker runs each LeakyRelu that sits directly before a
+MaxPool after that pool, on the pooled map (self._run, found once in
+__init__). LeakyRelu is monotone, so the window max of its output is the
+LeakyRelu of the window max, value for value, at 1/w^2 of the LeakyRelu's
+work. The LeakyRelu's cache is then the mask of the pooled map, and the
+backward adjoint runs the pair the other way round: the LeakyRelu backward
+on the pooled-size gradient, then the pool's scatter. The pool's masks
+mark the maxima of the LeakyRelu's input, which are those of its output
+too, with one exception: where two different negative inputs of a window
+round to the same x*slope, the gradient goes to the larger input, not to
+the earlier offset. The reverse walker keeps the layer order: its
+LeakyRelus already run on the small map wherever the fold applies.
 """
 
 import math
@@ -167,6 +180,12 @@ class ReversibleNetwork:
                 self.size += math.prod(shape)
                 last = i
         self.params = self.velocity = None
+        # the order _forward runs the layers in: each LeakyRelu directly
+        # before a MaxPool runs after it, on the pooled map
+        self._run = list(range(len(self.layers)))
+        for i in range(len(self.layers) - 1):
+            if isinstance(self.layers[i], LeakyRelu) and isinstance(self.layers[i + 1], MaxPool):
+                self._run[i:i + 2] = [i + 1, i]
         # the stride-1 Conv below each MaxPool, past any LeakyRelus, that
         # takes the pool's upsampling reverse (see _reverse_span)
         self._fold_into = [None] * len(self.layers)
@@ -233,29 +252,41 @@ class ReversibleNetwork:
         no ownership, so the reverse and adjoint walkers keep an owned
         flag, set by the first op whose output is not its input. The
         caller's x, o, latent and upstream gradients, and every cache and
-        trace entry, stay as they were."""
+        trace entry, stay as they were.
+
+        The layers run in the order self._run: a LeakyRelu directly before
+        a MaxPool runs after it (see the module docstring), writing into
+        the pool's fresh output, and each cache stays at its own layer's
+        index. A span that starts at such a LeakyRelu starts with its pool,
+        so the first op is still the one that reads the caller's array."""
         caches = [None] * len(self.layers)
         alpha = None
-        for i in range(lo, len(self.layers)):
+        for n, i in enumerate(j for j in self._run if j >= lo):
             if i == self.final_dense_idx:
                 alpha = v
             layer = self.layers[i]
-            v, caches[i] = layer.forward(v, **_out(layer, v, i > lo))
+            v, caches[i] = layer.forward(v, **_out(layer, v, n > 0))
         return v, alpha, caches
 
-    def _adjoint(self, g, order, op, caches, acc, free=False):
-        """Walk the layers in `order`, calling each one's `op` ("backward"
-        or "reverse_backward") on its cache and adding the parameter
-        gradients into acc. A FOLDED layer is skipped. After a layer's own
-        reverse_backward gradients comes the gradient of the bias its
-        reverse added (see the module docstring). Returns the gradient at
-        the span's end.
+    def _adjoint(self, g, op, caches, acc, hi, lo, free=False):
+        """Walk layers[lo:hi], calling each one's `op` on its cache and
+        adding the parameter gradients into acc: "backward" in the reverse
+        of the order _forward runs them, so a LeakyRelu that runs after its
+        MaxPool takes the pooled-size gradient before the pool scatters
+        it, and "reverse_backward" in layer order. A FOLDED layer is
+        skipped. After a layer's own reverse_backward gradients comes the
+        gradient of the bias its reverse added (see the module docstring).
+        Returns the gradient at the span's end.
 
         acc is a buffer of params' layout, or a prefix of it that holds the
         span's slots, and each gradient is added into its slot in place; g
         is passed on as in _forward. With free, a caller that owns `caches`
         has each entry set to None as the walk reaches it, so the walk frees
         what it passed; otherwise the list is left as it was."""
+        if op == "backward":
+            order = [i for i in reversed(self._run) if lo <= i < hi]
+        else:
+            order = range(lo, hi)
         owned = False
         for i in order:
             cache = caches[i]
@@ -291,8 +322,8 @@ class ReversibleNetwork:
         """Backprop a gradient given w.r.t. the pre-softmax logits (the
         cross-entropy/softmax combination), skipping the head layer. free
         as in _adjoint."""
-        start = len(self.layers) - 2 if self.has_head else len(self.layers) - 1
-        return self._adjoint(g, range(start, -1, -1), "backward", trace, acc, free)
+        hi = len(self.layers) - self.has_head
+        return self._adjoint(g, "backward", trace, acc, hi, 0, free)
 
     # -- reverse ----------------------------------------------------------
 
@@ -343,7 +374,7 @@ class ReversibleNetwork:
         the span's starting value (o for a full feed-backward). free as in
         _adjoint."""
         hi = len(self.layers) if hi is None else hi
-        return self._adjoint(g, range(lo, hi), "reverse_backward", rcaches, acc, free)
+        return self._adjoint(g, "reverse_backward", rcaches, acc, hi, lo, free)
 
     # -- latent generation ------------------------------------------------
 
@@ -374,8 +405,8 @@ class ReversibleNetwork:
     def one_step_adjoint(self, g_logits, caches, acc):
         """Backprop from tail logits down to the latent, accumulating tail
         parameter gradients; returns the gradient w.r.t. the latent."""
-        tail = range(len(self.layers) - 2, self.final_dense_idx - 1, -1)
-        return self._adjoint(g_logits, tail, "backward", caches, acc)
+        hi = len(self.layers) - 1
+        return self._adjoint(g_logits, "backward", caches, acc, hi, self.final_dense_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,7 @@ def run_experiment(net, train_images, train_labels, test_images, test_labels,
 
     Returns (rows, final_eval). out_dir, when given, receives metrics.csv
     and checkpoint files; log, when given, gets one text line per epoch.
+    A NumericError from a step is raised again with its epoch and step.
     """
     if train_images.shape[0] == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -326,7 +327,10 @@ def run_experiment(net, train_images, train_labels, test_images, test_labels,
                 yb = train_labels[idx]
                 if cfg.augment:
                     xb = data.augment(xb, augment_rng)
-                rep, mis = train_step(net, (xb, yb), cfg, transform_rng, epoch=epoch)
+                try:
+                    rep, mis = train_step(net, (xb, yb), cfg, transform_rng, epoch=epoch)
+                except NumericError as exc:
+                    raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
                 seconds = 0.0 if cfg.determinism else time.perf_counter() - t0
                 test_err = None
                 if bi == len(order) - 1:

@@ -1,6 +1,8 @@
 """Checkpoint save/load: bit-exact round-trips and corruption handling."""
 
 import builtins
+import errno
+import io
 import json
 import os
 import struct
@@ -8,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from revnet import checkpoint
 from revnet.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
 from revnet.errors import DataError, FormatError
 from revnet.layers import Conv, Layer, LeakyRelu, ReverseConfig
@@ -119,6 +122,25 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="replace failed"):
             save_checkpoint(path, build_net(seed=4))
         assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.rvnt"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.rvnt"
+        save_checkpoint(path, build_net(seed=3))
+        old = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            """A file whose first write stores a few bytes, then fails."""
+
+            def write(self, b):
+                super().write(bytes(b)[:4])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, build_net(seed=4))
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.rvnt"]
 
     def test_writes_beside_the_target_then_replaces_it(self, tmp_path, monkeypatch):
         path = tmp_path / "net.rvnt"

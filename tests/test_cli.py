@@ -195,6 +195,19 @@ class TestTrain:
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    # the overflow on the way there is numpy's RuntimeWarning, not the error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_names_its_epoch_and_step(self, tmp_path, capsys):
+        # the unclipped small net at lr0=1.0 diverges in its second step
+        out = tmp_path / "x"
+        args = ["train", "--out", str(out), "--deterministic", "--seed", "7"]
+        for item in ("net.arch=small", "net.reverse_activation=forward", "train.epochs=2",
+                     "train.lr0=1.0", "train.w_rec=1.0", "train.clip_grad_norm=0"):
+            args += ["--override", item]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("numeric error: epoch 0 step 1: non-finite loss")
+        assert [r["step"] for r in read_metrics(out)] == ["0"]
+
     def test_unknown_override_is_config_error(self, tmp_path, capsys):
         assert main(train_cmd(tmp_path / "x", ["--override", "zap=1"])) == 2
         assert "config error" in capsys.readouterr().err

@@ -476,6 +476,77 @@ class TestUpsamplingFold:
             assert rel_diff(net.view(acc, *key), net.view(want_acc, *key)) <= 1e-12
 
 
+def pool_first_order(net, lo=0):
+    """The order the forward walker runs layers[lo:] in, found here from
+    the rule: a LeakyRelu directly before a MaxPool runs after it."""
+    order = list(range(len(net.layers)))
+    for i in range(len(order) - 1):
+        if isinstance(net.layers[i], LeakyRelu) and isinstance(net.layers[i + 1], MaxPool):
+            order[i], order[i + 1] = i + 1, i
+    return [i for i in order if i >= lo]
+
+
+def per_layer_forward(net, x, lo=0, order=None):
+    """layers[lo:] run one out-of-place forward call each, in `order`
+    (layer order by default). Returns (output, alpha, caches)."""
+    caches, alpha, v = [None] * len(net.layers), None, x
+    for i in order or range(lo, len(net.layers)):
+        if i == net.final_dense_idx:
+            alpha = v
+        v, caches[i] = net.layers[i].forward(v)
+    return v, alpha, caches
+
+
+class TestPoolFirst:
+    """Each LeakyRelu directly before a MaxPool runs after it, on the
+    pooled map, in the forward walk and (reversed) in the backward
+    adjoint; the results keep the bits of the literal layer order."""
+
+    @pytest.mark.parametrize("arch", ["small", "baseline"])
+    def test_matches_the_layer_order(self, arch):
+        shape = (1, 16, 16) if arch == "small" else (3, 16, 16)
+        for seed in range(3):
+            net = ARCHITECTURES[arch](shape, 10).build(np.random.default_rng(seed))
+            rng = np.random.default_rng(40 + seed)
+            x = rng.normal(size=(4,) + shape).astype(np.float32)
+            o, alpha, trace = net.feed_forward(x)
+            want_o, want_alpha, caches = per_layer_forward(net, x)
+            assert_same((o, alpha), (want_o, want_alpha))
+            g = rng.normal(size=o.shape).astype(np.float32)
+            acc, want_acc = np.zeros_like(net.params), np.zeros_like(net.params)
+            gx = net.backward_from_logits(g, trace, acc)
+            want = g
+            for i in range(len(net.layers) - 2, -1, -1):
+                want, grads = net.layers[i].backward(want, caches[i])
+                for name, val in (grads or {}).items():
+                    net.view(want_acc, i, name)[...] += val
+            assert_same((gx, acc), (want, want_acc))
+
+    def test_lrelu_cache_has_the_pooled_shape(self):
+        net = small_net()
+        assert net._run == [0, 2, 1, 3, 5, 4, 6, 7, 8, 9]
+        x = np.random.default_rng(41).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        _, _, trace = net.feed_forward(x)
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, LeakyRelu):
+                pooled = isinstance(net.layers[i + 1], MaxPool)
+                assert trace[i].shape == (3,) + net.shapes[i + 2 if pooled else i + 1]
+
+    @pytest.mark.parametrize("lo", [1, 2])
+    def test_span_from_an_lrelu_leaves_the_callers_array(self, lo):
+        # lo=2 is the lrelu right before the pool: its span starts with
+        # the pool, on the caller's array
+        net = NetworkSpec((1, 8, 8), 4, ["conv:3:3", "lrelu", "lrelu", "pool:2", "dense:4", "softmax"]).build(
+            np.random.default_rng(42))
+        assert net._run == [0, 1, 3, 2, 4, 5]
+        v = np.random.default_rng(43).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        v0 = v.copy()
+        got = net._forward(v, lo)
+        assert_same(v, v0)
+        assert_same(got, per_layer_forward(net, v, order=pool_first_order(net, lo)))
+        assert_same(got[0], per_layer_forward(net, v, lo)[0])
+
+
 def orthogonal(n, rng, dtype=np.float64):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return (q * np.sign(np.diag(r))).astype(dtype)
@@ -620,12 +691,13 @@ class TestOwnership:
         x0 = x.copy()
         o, alpha, trace = net.feed_forward(x)
         assert_same(x, x0)
-        # each layer called on its own, out of place, gives the same bits
+        # each layer called on its own, out of place and pool first, as
+        # the walker runs them, gives the same bits
         v = x
-        for i, layer in enumerate(net.layers):
+        for i in pool_first_order(net):
             if i == net.final_dense_idx:
                 assert_same(alpha, v)
-            v, cache = layer.forward(v)
+            v, cache = net.layers[i].forward(v)
             assert_same(trace[i], cache)
         assert_same(o, v)
 
